@@ -26,7 +26,7 @@ IMPORT_PROBE = (
     "print(time.perf_counter() - t)"
 )
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 # seconds the calibration loop takes when the box runs at its usual speed
 CALIBRATION_REFERENCE_S = 0.025
 
