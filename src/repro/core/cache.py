@@ -119,7 +119,9 @@ ALGORITHM_REVISION = 6  # PR 8: pluggable cost models.  Rewrite keys now
 # (Previously 5 — PR 5: warm chains + cache introduced.  Deliberately NOT
 # bumped for the array-backed graph core: the storage swap was
 # differentially verified bit-identical, so dict-core-era entries stayed
-# valid verbatim.)
+# valid verbatim.  Not bumped either when the Pareto sweep dropped its
+# warm-start budget chains: the front key lost that parameter, so
+# chain-era fronts already miss.)
 
 _KEY_SALT = f"{_FORMAT_VERSION}.{ALGORITHM_REVISION}.{__version__}"
 

@@ -73,6 +73,31 @@ class CompileResult:
         )
 
 
+def rewrite_options_for(
+    compiler_options: CompilerOptions,
+    *,
+    effort: int = 4,
+    engine: str = "worklist",
+    objective: "str | CostModel" = "size",
+) -> RewriteOptions:
+    """The rewrite options matching ``compiler_options``.
+
+    When the compiler fixes output polarity, each complemented output
+    costs a fix-up, so the rewriter charges 2 per complemented output;
+    under paper accounting it charges nothing.  Every entry point that
+    derives rewrite options from compiler options goes through here.
+
+        >>> rewrite_options_for(CompilerOptions()).po_negation_cost
+        2
+    """
+    return RewriteOptions(
+        effort=effort,
+        po_negation_cost=2 if compiler_options.fix_output_polarity else 0,
+        engine=engine,
+        objective=objective,
+    )
+
+
 def compile_mig(
     mig: Mig,
     *,
@@ -133,12 +158,8 @@ def compile_mig(
         if rewrite_options is not None:
             ropts = rewrite_options
         else:
-            po_cost = 2 if copts.fix_output_polarity else 0
-            ropts = RewriteOptions(
-                effort=effort,
-                po_negation_cost=po_cost,
-                engine=engine,
-                objective=objective,
+            ropts = rewrite_options_for(
+                copts, effort=effort, engine=engine, objective=objective
             )
         start = perf_counter()
         compiled = rewrite_for_plim(mig, ropts, cache=cache)

@@ -27,6 +27,7 @@ from repro.core.batch import parallel_map
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.cost import CompiledPlim
 from repro.core.pareto import ParetoFront, pareto_sweep
+from repro.core.pipeline import rewrite_options_for
 from repro.core.rewriting import (
     OBJECTIVES,
     CostLoopResult,
@@ -194,7 +195,7 @@ def format_pareto_front(name: str, front: ParetoFront) -> str:
             p.num_rrams,
         ]
         + [p.metric(a) for a in executed]
-        + [p.source, p.equivalence or "-"]
+        + [p.equivalence or "-"]
         for on_front, points in ((True, front.points), (False, front.dominated))
         for p in points
     ]
@@ -202,7 +203,7 @@ def format_pareto_front(name: str, front: ParetoFront) -> str:
     return f"Pareto ({axis_names}) frontier — {name}\n" + format_table(
         ["point", "front", "#N", "#D", "#I", "#R"]
         + [_AXIS_LABELS[a] for a in executed]
-        + ["start", "equivalence"],
+        + ["equivalence"],
         rows,
     )
 
@@ -347,13 +348,11 @@ def polarity_ablation(mig: Mig, rewrite_effort: int = 4) -> list[PolarityPoint]:
     """Paper accounting (complemented outputs free) vs. honest fix-up."""
     points = []
     for paper in (True, False):
-        fix = not paper
+        copts = CompilerOptions(fix_output_polarity=not paper)
         rewritten = rewrite_for_plim(
-            mig, RewriteOptions(effort=rewrite_effort, po_negation_cost=2 if fix else 0)
+            mig, rewrite_options_for(copts, effort=rewrite_effort)
         )
-        program = PlimCompiler(
-            CompilerOptions(fix_output_polarity=fix)
-        ).compile(rewritten)
+        program = PlimCompiler(copts).compile(rewritten)
         inverted = sum(1 for loc in program.output_cells.values() if loc.inverted)
         points.append(
             PolarityPoint(

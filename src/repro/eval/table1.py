@@ -33,7 +33,8 @@ from repro.core.batch import parallel_imap, resolve_workers
 from repro.core.cache import SynthesisCache, payload_cache_ref, worker_cache
 from repro.core.resilience import FaultPlan, TaskFailure, TaskPolicy
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.rewriting import RewriteOptions, rewrite_for_plim
+from repro.core.pipeline import rewrite_options_for
+from repro.core.rewriting import rewrite_for_plim
 from repro.eval.reporting import format_table, improvement, to_csv
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
@@ -154,9 +155,8 @@ def measure_mig(
 
     rewritten = rewrite_for_plim(
         mig,
-        RewriteOptions(
-            effort=effort, po_negation_cost=2 if fix else 0, engine=engine,
-            objective=objective,
+        rewrite_options_for(
+            naive_opts, effort=effort, engine=engine, objective=objective
         ),
         cache=cache,
     )

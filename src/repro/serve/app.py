@@ -431,19 +431,32 @@ class PlimServer:
             raise ProtocolError(
                 503, "draining", "server is draining; no new work accepted"
             )
-        mig = await asyncio.to_thread(protocol.parse_circuit, payload)
-        fingerprint = await asyncio.to_thread(mig.fingerprint)
-        key = f"{kind}|{fingerprint}|{protocol.options_token(params)}"
-        job, created = self.jobs.submit(kind, key)
-        if created:
+        # join synchronously on the raw-payload key, exactly as /compile
+        # does: an await before the join would let a short job finish and
+        # vacate its key before an identical submission joins it
+        job, created = self.jobs.submit(
+            kind, f"{kind}|{protocol.dedup_key(payload, params)}"
+        )
+        if not created:
+            self.counters["collapsed"] += 1
+        else:
+            # the leader parses; a parse failure answers the leader with
+            # its error and fails the job for any follower that joined
+            try:
+                mig = await asyncio.to_thread(protocol.parse_circuit, payload)
+            except BaseException as error:
+                code = (
+                    error.code if isinstance(error, ProtocolError)
+                    else "internal-error"
+                )
+                self.jobs.fail(job.id, {"code": code, "message": str(error)})
+                raise
             self.counters["jobs"] += 1
             task = asyncio.get_running_loop().create_task(
                 self._run_job(job.id, kind, mig, params)
             )
             self._job_tasks.add(task)
             task.add_done_callback(self._job_tasks.discard)
-        else:
-            self.counters["collapsed"] += 1
         return Response.ok(
             {"job_id": job.id, "state": self.jobs.get(job.id).state,
              "deduplicated": not created},

@@ -13,8 +13,8 @@ snapshots.  Everything under one lock; snapshots are deep-enough copies
 that readers never see a row mid-append.
 
 In-flight dedup mirrors the compile path: a second submission of the
-same ``(kind, fingerprint, params)`` while the first is still running
-returns the *same* job id instead of spawning a duplicate sweep.
+same ``(kind, raw circuit payload, params)`` while the first is still
+running returns the *same* job id instead of spawning a duplicate sweep.
 
 Finished records don't accumulate forever: the registry retains the
 most recent ``max_finished`` done/failed jobs and evicts older ones

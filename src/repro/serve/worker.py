@@ -24,8 +24,7 @@ from typing import Optional
 
 from repro.core.cache import worker_cache
 from repro.core.compiler import CompilerOptions
-from repro.core.pipeline import compile_mig
-from repro.core.rewriting import RewriteOptions
+from repro.core.pipeline import compile_mig, rewrite_options_for
 from repro.mig.graph import Mig
 from repro.mig.io_mig import write_mig
 
@@ -33,19 +32,19 @@ from repro.mig.io_mig import write_mig
 def request_option_sets(options: dict):
     """The exact ``(rewrite_options, compiler_options)`` pair of a request.
 
-    Mirrors :func:`repro.core.pipeline.compile_mig`'s internal option
-    construction so the *cache key* computed on the event loop (fast
-    path) and in the worker (slow path) is identical to the options the
-    compile actually runs under.  ``rewrite_options`` is ``None`` when
-    the request disabled rewriting — exactly what ``compile_mig`` would
-    record.
+    Derived by :func:`repro.core.pipeline.rewrite_options_for`, as in
+    :func:`~repro.core.pipeline.compile_mig`, so the *cache key* computed
+    on the event loop (fast path) and in the worker (slow path) is
+    identical to the options the compile actually runs under.
+    ``rewrite_options`` is ``None`` when the request disabled rewriting —
+    exactly what ``compile_mig`` would record.
     """
     copts = CompilerOptions()
     if not options["rewrite"]:
         return None, copts
-    ropts = RewriteOptions(
+    ropts = rewrite_options_for(
+        copts,
         effort=options["effort"],
-        po_negation_cost=2 if copts.fix_output_polarity else 0,
         engine=options["engine"],
         objective=options["objective"],
     )

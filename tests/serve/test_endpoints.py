@@ -8,10 +8,15 @@ the server is a transport, never a different compiler.
 
 from __future__ import annotations
 
+import itertools
 import json
 
+import pytest
+
 from repro.core.pipeline import compile_mig
-from repro.serve.protocol import canonical_json, parse_circuit
+from repro.core.rewriting import ENGINES, MODEL_OBJECTIVES, OBJECTIVES
+from repro.eval.fig3 import fig3b
+from repro.serve.protocol import canonical_json, compile_options, parse_circuit
 from repro.serve.worker import build_record, request_option_sets
 
 from .conftest import get, make_app, post
@@ -56,6 +61,29 @@ def normalized_body(response) -> bytes:
     """The response's bytes re-canonicalized without the timing fields —
     byte-comparable against :func:`expected_compile_body`."""
     return canonical_json(sans_timings(response.json()))
+
+
+@pytest.mark.parametrize(
+    "rewrite, effort, engine, objective",
+    itertools.product(
+        (True, False), (1, 4), ENGINES, (*OBJECTIVES, *MODEL_OBJECTIVES)
+    ),
+)
+def test_request_option_sets_match_compile_mig(rewrite, effort, engine, objective):
+    """The options a request is keyed under are exactly the ones
+    ``compile_mig`` derives and runs under, for every option combination
+    the protocol accepts."""
+    options = compile_options(
+        {"options": {"rewrite": rewrite, "effort": effort, "engine": engine,
+                     "objective": objective}}
+    )
+    result = compile_mig(
+        fig3b(), rewrite=rewrite, effort=effort, engine=engine,
+        objective=objective,
+    )
+    ropts, copts = request_option_sets(options)
+    assert (ropts, copts) == (result.rewrite_options, result.compiler_options)
+    assert repr(ropts) == repr(result.rewrite_options)
 
 
 class TestHealthz:

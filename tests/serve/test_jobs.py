@@ -104,6 +104,29 @@ class TestJobDedup:
         assert third["deduplicated"] is False
         assert app.counters["jobs"] == 2  # two real jobs, one dedup join
 
+    def test_parse_error_answers_leader_and_fails_joined_job(self):
+        app = make_app()
+        payload = {
+            "kind": "pareto", "circuit": "not a mig", "format": "mig",
+            "params": {},
+        }
+
+        async def main():
+            # the leader joins, then yields to parse; the follower joins
+            # the same job before the parse fails
+            leader, follower = await asyncio.gather(
+                apost(app, "/jobs", payload), apost(app, "/jobs", payload)
+            )
+            return leader, follower, await poll_job(app, follower.json()["job_id"])
+
+        leader, follower, snapshot = asyncio.run(main())
+        assert leader.status == 422
+        assert leader.json()["error"]["code"] == "parse-error"
+        assert follower.status == 202 and follower.json()["deduplicated"] is True
+        assert snapshot["state"] == "failed"
+        assert snapshot["error"]["code"] == "parse-error"
+        assert app.counters["jobs"] == 0
+
     def test_distinct_params_get_distinct_jobs(self, mig_text):
         app = make_app()
 

@@ -212,11 +212,6 @@ class TestFrontRoundTrip:
         assert clone.to_dict() == front.to_dict()
         assert isinstance(clone.points[0], ParetoPoint)
 
-    def test_point_from_dict_defaults_source(self):
-        data = pareto_sweep(("ctrl", "ci"), workers=1).points[0].to_dict()
-        del data["source"]  # pre-incremental cache entries lack the field
-        assert ParetoPoint.from_dict(data).source == "cold"
-
 
 class TestPipelineIntegration:
     def test_compile_mig_cache_preserves_result(self):

@@ -153,19 +153,6 @@ class TestParetoCommand:
     def test_pareto_unknown_circuit(self):
         assert main(["pareto", "not-a-benchmark"]) == 2
 
-    def test_pareto_cold_flag(self, capsys):
-        assert main(
-            ["pareto", "int2float", "--scale", "ci", "--workers", "1",
-             "--cold", "--json"]
-        ) == 0
-        import json as json_module
-
-        payload = json_module.loads(capsys.readouterr().out)
-        assert all(
-            p["source"] == "cold"
-            for p in payload["points"] + payload["dominated"]
-        )
-
 
 class TestCacheCommands:
     def test_pareto_cache_dir_round_trip(self, tmp_path, capsys):
