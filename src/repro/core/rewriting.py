@@ -2,13 +2,14 @@
 
 Two engines implement the algorithm:
 
-* ``engine="worklist"`` (the default) — an in-place, worklist-driven
-  sweep over one mutable graph: each effort cycle seeds every live gate in
-  topological order, applies the Ω rule sequence locally through
-  :meth:`~repro.mig.graph.Mig.replace_node`, and re-enqueues only the
-  fan-in/fan-out cone a rule touched.  The fixed-point signature is
-  maintained incrementally (O(1) per check), and dead-node compaction is
-  deferred to a single final cleanup;
+* ``engine="worklist"`` (the default) — in-place phases over one mutable
+  graph: each phase visits every live gate once, in a topological
+  snapshot taken at the phase start, and applies its rules locally
+  through :meth:`~repro.mig.graph.Mig.replace_node`, which cascades
+  structural-hash merges and Ω.M collapses upward.  The rules match on
+  the raw child encodings.  The fixed-point signature is maintained
+  incrementally (O(1) per check), and dead-node compaction is deferred to
+  a single final cleanup;
 * ``engine="rebuild"`` — the original pass pipeline in which every Ω pass
   is a full :meth:`~repro.mig.graph.Mig.rebuild` (one effort cycle copies
   the whole MIG ~8 times).  Kept as the differential-testing oracle.
@@ -38,7 +39,6 @@ with ``fix_output_polarity`` they cost 2 instructions each, which
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -53,12 +53,12 @@ from repro.core.cost import (
     Depth,
     NodeCount,
     estimate_from_histogram,
-    estimate_instructions,
     negation_cost,
     resolve_cost_model,
 )
 from repro.errors import MigError, ReproError
 from repro.mig.algebra import (
+    _structural_sweep,
     complement_profile,
     flip_complement,
     pass_associativity,
@@ -72,12 +72,10 @@ from repro.mig.algebra import (
     try_associativity_depth,
     try_complementary_associativity,
     try_distributivity_rl,
-    try_majority,
     try_push_inverters,
 )
-from repro.mig.analysis import complement_stats, depth
+from repro.mig.analysis import depth
 from repro.mig.graph import Mig
-from repro.mig.signal import Signal
 
 
 @dataclass(frozen=True)
@@ -275,8 +273,27 @@ def _rewrite_rebuild(mig: Mig, opts: RewriteOptions) -> Mig:
 
 
 def _signature(mig: Mig) -> tuple:
-    """Cheap fixed-point detector for the effort loop (full traversal)."""
-    return (mig.num_gates, complement_stats(mig).by_count, estimate_instructions(mig))
+    """Cheap fixed-point detector for the effort loop (full traversal).
+
+    ``(gate count, complemented-child histogram, instruction estimate)``
+    from one pass over the child encodings — the same triple
+    :func:`_inplace_signature` reads off the maintained counters.
+    """
+    hist = [0, 0, 0, 0]
+    zero_comp_no_const = 0
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    profile = Mig._profile_enc
+    for v in mig.gates():
+        complemented, has_const = profile(ca[v], cb[v], cc[v])
+        hist[complemented] += 1
+        if complemented == 0 and not has_const:
+            zero_comp_no_const += 1
+    num_gates = mig.num_gates
+    return (
+        num_gates,
+        tuple(hist),
+        estimate_from_histogram(num_gates, hist, zero_comp_no_const),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -357,20 +374,23 @@ def _size_cycle_worklist(work: Mig, opts: RewriteOptions) -> None:
 def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     """One size-rule cycle: the paper's Ω.M; Ω.D; Ω.A[; Ψ.A]; Ω.C; Ω.M; Ω.D.
 
-    Each phase is a worklist that seeds every live gate in topological
-    order, applies its rule locally, and re-enqueues only the nodes a
-    rewrite touched (Ω.M and structural-hash merging additionally cascade
-    inside ``replace_node``, so every phase is also an Ω.M pass).  Keeping
+    Each phase visits every live gate once in topological order and
+    applies its rules locally.  Ω.M needs no phase of its own: the
+    private copy starts Ω.M-clean (``rebuild``), every gate a rule
+    creates is simplified on construction, and ``replace_node`` cascades
+    every collapse and structural-hash merge it causes — so no live gate
+    is ever Ω.M-reducible between rule applications (the invariant
+    ``tests/property/test_prop_worklist_invariants.py`` checks).  Keeping
     the rebuild pipeline's phase order — all Ω.D applications before any
-    Ω.A reshaping, with the Ω.C reorder in between — keeps the two engines'
-    search order, and therefore their results, closely aligned.
+    Ω.A reshaping, with the Ω.C reorder in between — keeps the two
+    engines' search order, and therefore their results, closely aligned.
 
     With ``opts.depth_budget`` set (level-maintained graphs only), every
     phase gates its candidates so no primary-output level can exceed the
     budget — size rewriting under a hard depth ceiling.
     """
     budget = opts.depth_budget
-    _worklist_phase(work, (try_majority, try_distributivity_rl), depth_budget=budget)
+    _worklist_phase(work, (try_distributivity_rl,), depth_budget=budget)
     reshaping = [try_associativity]
     if opts.use_psi:
         reshaping.append(try_complementary_associativity)
@@ -380,96 +400,48 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     # sweep them at the phase boundary, like a pass's trailing rebuild.
     work.collect_unused()
     _sweep_commutativity(work)
-    _worklist_phase(work, (try_majority, try_distributivity_rl), depth_budget=budget)
+    _worklist_phase(work, (try_distributivity_rl,), depth_budget=budget)
 
 
 def _worklist_phase(
     work: Mig,
     rules: tuple,
-    revisit: bool = False,
     depth_budget: Optional[int] = None,
 ) -> None:
-    """Run one rule family over a worklist seeded with all live gates.
+    """Run one rule family once over every live gate.
 
-    With ``revisit=False`` (the pass-faithful default) every seed is
-    visited once, like one rebuild pass: merge/collapse cascades still run
-    inside ``replace_node``, and follow-up opportunities are picked up by
-    the next phase or cycle.  ``revisit=True`` re-enqueues the affected
-    cone until a local fixed point — more eager, but the greedier search
-    order can land in different (not reliably better) local optima, so the
-    engine keeps it off to stay aligned with the rebuild oracle.  A step
-    budget bounds pathological reshaping loops either way (Ω.A is
-    size-neutral, so a cycle of free swaps could otherwise ping-pong).
+    The gates are visited in a topological snapshot taken at the phase
+    start, like one rebuild pass: a gate retired by an earlier rewrite is
+    skipped, and gates a rewrite creates are not visited — follow-up
+    opportunities are picked up by the next phase or cycle.  Merge and
+    Ω.M collapse cascades run inside ``replace_node``.  At each gate the
+    rules are tried in order until one fires.  Single-fanout tests read
+    the fanout snapshot taken at the phase start.
     """
-    queue = deque(work.topo_gates())
-    queued = set(queue)
     fanouts = work.fanout_snapshot()
-    budget = 20 * len(work) + 1000
-    while queue and budget > 0:
-        budget -= 1
-        v = queue.popleft()
-        queued.discard(v)
-        if not work.is_gate(v):
+    ca = work._ca
+    for v in list(work.topo_gates()):
+        if ca[v] < 0:
             continue
         for rule in rules:
-            affected = rule(work, v, fanouts, depth_budget)
             # A rule can fire and still report an empty affected set (the
             # replacement is a literal and ``v`` was read only by POs, so
             # no gate's children changed); ``v`` is tombstoned then, and
             # the next rule must not run on the dead node.
-            if affected or not work.is_gate(v):
+            if rule(work, v, fanouts, depth_budget) or ca[v] < 0:
                 break
-        if revisit:
-            for u in affected:
-                if u not in queued and work.is_gate(u):
-                    queue.append(u)
-                    queued.add(u)
 
 
 def _sweep_commutativity(work: Mig) -> None:
     """In-place Ω.C: per-gate slot permutation, same scoring and canonical
     tie-breaking as :func:`~repro.mig.algebra.pass_commutativity`.
 
-    Purely a stored-order change (the strash key is order-insensitive), so
-    no worklist is needed — one linear sweep suffices.
+    Purely a stored-order change (the strash key is order-insensitive),
+    so one topological sweep suffices, fused with the structural keys
+    that break score ties: a child's key is final before its parent is
+    visited, and a reorder never changes a key.
     """
-    from repro.mig.algebra import (
-        SLOT_SCORES_CONST,
-        SLOT_SCORES_INVERTED,
-        SLOT_SCORES_PLAIN,
-        SLOT_SCORES_PLAIN_SINGLE_GATE,
-        _best_permutation,
-        structural_keys,
-    )
-
-    keys = structural_keys(work)
-    # bound once: this sweep is a hot path (encoding views work on both
-    # the array core and the DictMig reference core)
-    ca, cb, cc = work._ca, work._cb, work._cc
-    refs = work._refs
-    for v in list(work.topo_gates()):
-        ea = ca[v]
-        if ea < 0:
-            continue
-        triple = (Signal(ea), Signal(cb[v]), Signal(cc[v]))
-        scores = []
-        child_keys = []
-        for child in triple:
-            encoding = int(child)
-            n = encoding >> 1
-            child_keys.append(keys[n])
-            if n == 0:
-                scores.append(SLOT_SCORES_CONST)
-            elif encoding & 1:
-                scores.append(SLOT_SCORES_INVERTED)
-            elif ca[n] >= 0 and refs[n] == 1:
-                scores.append(SLOT_SCORES_PLAIN_SINGLE_GATE)
-            else:
-                scores.append(SLOT_SCORES_PLAIN)
-        a, b, z = _best_permutation(scores, triple, child_keys)
-        new_triple = (triple[a], triple[b], triple[z])
-        if new_triple != triple:
-            work.reorder_children(v, new_triple)
+    _structural_sweep(work, reorder=True)
 
 
 def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
@@ -484,27 +456,31 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
     touched nodes).
     """
     extra_cost = negation_cost
+    profile = Mig._profile_enc
     order = list(work.topo_gates())
     position = {v: i for i, v in enumerate(order)}
     evicted: set[int] = set()
     ca, cb, cc = work._ca, work._cb, work._cc  # encoding views, hot sweep
+    parents = work._parents
     for v in order:
-        if ca[v] < 0:  # replaced by an earlier flip's cascade
+        ea = ca[v]
+        if ea < 0:  # replaced by an earlier flip's cascade
             continue
-        enc = (ca[v], cb[v], cc[v])
-        num_nonconst = sum(1 for e in enc if e >= 2)
-        complemented = sum(1 for e in enc if e >= 2 and e & 1)
-        has_const = num_nonconst < 3
+        eb, ec = cb[v], cc[v]
+        complemented, has_const = profile(ea, eb, ec)
         flip = False
         if complemented >= 2:
+            num_nonconst = (ea > 1) + (eb > 1) + (ec > 1)
             # Cost at this node if we flip: complements become k - c.
             delta = extra_cost(num_nonconst - complemented, has_const) - extra_cost(
                 complemented, has_const
             )
             # Cost at each fanout target: its edge to us toggles polarity.
-            for p in work.parents_of_node(v):
+            for p in parents[v]:
+                if ca[p] < 0:  # a retired reader
+                    continue
                 pe = (ca[p], cb[p], cc[p])
-                c_p, const_p = Mig._profile_enc(*pe)
+                c_p, const_p = profile(*pe)
                 for edge in pe:
                     if edge >> 1 == v:
                         c_p_flipped = c_p + (-1 if edge & 1 else 1)
@@ -516,7 +492,8 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
                 for po in work.po_edges_of(v):
                     delta += po_negation_cost * (-1 if po.inverted else 1)
             flip = delta <= 0
-        _visit_for_flip(work, v, flip, position, evicted)
+        if flip or v in evicted:
+            _visit_for_flip(work, v, flip, position, evicted)
 
 
 def _sweep_push_inverters(work: Mig, threshold: int) -> None:
@@ -525,13 +502,15 @@ def _sweep_push_inverters(work: Mig, threshold: int) -> None:
     position = {v: i for i, v in enumerate(order)}
     evicted: set[int] = set()
     ca, cb, cc = work._ca, work._cb, work._cc  # encoding views, hot sweep
+    profile = Mig._profile_enc
     for v in order:
-        if ca[v] < 0:
+        ea = ca[v]
+        if ea < 0:
             continue
-        inverted_nonconst = sum(
-            1 for e in (ca[v], cb[v], cc[v]) if e >= 2 and e & 1
-        )
-        _visit_for_flip(work, v, inverted_nonconst >= threshold, position, evicted)
+        inverted_nonconst, _ = profile(ea, cb[v], cc[v])
+        flip = inverted_nonconst >= threshold
+        if flip or v in evicted:
+            _visit_for_flip(work, v, flip, position, evicted)
 
 
 def _visit_for_flip(

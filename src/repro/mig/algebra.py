@@ -96,6 +96,102 @@ SLOT_SCORES_INVERTED = (2, 0, 2)
 SLOT_SCORES_PLAIN_SINGLE_GATE = (0, 2, 0)
 SLOT_SCORES_PLAIN = (0, 2, 2)
 
+#: the scores above by child class: 0 constant, 1 complemented, 2 plain
+#: edge to a single-fanout gate, 3 any other plain edge
+_SLOT_SCORES = (
+    SLOT_SCORES_CONST,
+    SLOT_SCORES_INVERTED,
+    SLOT_SCORES_PLAIN_SINGLE_GATE,
+    SLOT_SCORES_PLAIN,
+)
+
+
+def _min_cost_permutations(classes: tuple[int, int, int]) -> tuple:
+    """The minimum-score slot permutations of one child-class triple, in
+    :data:`_CHILD_PERMUTATIONS` order."""
+    scores = [_SLOT_SCORES[c] for c in classes]
+    costs = [
+        scores[a][0] + scores[b][1] + scores[z][2] for a, b, z in _CHILD_PERMUTATIONS
+    ]
+    best = min(costs)
+    return tuple(p for p, cost in zip(_CHILD_PERMUTATIONS, costs) if cost == best)
+
+
+#: ``16 * class_a + 4 * class_b + class_c`` -> minimum-score permutations
+_PERMUTATIONS_BY_CLASS = tuple(
+    _min_cost_permutations((ia, ib, ic))
+    for ia in range(4)
+    for ib in range(4)
+    for ic in range(4)
+)
+
+
+def _slot_permutation(classes: int, encodings, child_keys) -> tuple[int, int, int]:
+    """Slot permutation with minimal score, ties broken canonically.
+
+    ``classes`` is the :data:`_PERMUTATIONS_BY_CLASS` index of the
+    children's classes, ``encodings`` and ``child_keys`` their per-slot
+    encodings and structural keys.  Among the tied permutations the one
+    whose A and B children rank lowest by ``(key, polarity)`` wins (the
+    first in :data:`_CHILD_PERMUTATIONS` order on equal rank), so the
+    chosen order does not depend on the incoming stored order.
+    """
+    candidates = _PERMUTATIONS_BY_CLASS[classes]
+    best = candidates[0]
+    if len(candidates) > 1:
+        a, b, _ = best
+        best_rank = (child_keys[a], encodings[a] & 1, child_keys[b], encodings[b] & 1)
+        for perm in candidates[1:]:
+            a, b, _ = perm
+            rank = (child_keys[a], encodings[a] & 1, child_keys[b], encodings[b] & 1)
+            if rank < best_rank:
+                best, best_rank = perm, rank
+    return best
+
+
+def _structural_sweep(mig: Mig, reorder: bool) -> list[int]:
+    """One topological pass computing :func:`structural_keys`, and with
+    ``reorder`` also the in-place Ω.C of an ``enable_inplace()`` graph.
+
+    The fused form is exact: a gate's children are keyed before the gate
+    itself, and reordering a gate's stored children never changes its key
+    (the key hashes the *sorted* child pairs).  A child's class for the
+    slot scores (:data:`_SLOT_SCORES`) is read from the graph as it
+    stands, with the live reference count as its fanout.
+    """
+    keys = [0] * len(mig)
+    keys[0] = hash((1, 0))
+    for i, pi in enumerate(mig.pis()):
+        keys[pi.node] = hash((2, i))
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    refs = mig._refs
+    reorder_children = mig.reorder_children
+    for v in mig.topo_gates():
+        ea, eb, ec = ca[v], cb[v], cc[v]
+        na, nb, nc = ea >> 1, eb >> 1, ec >> 1
+        ka, kb, kc = keys[na], keys[nb], keys[nc]
+        x, y, z = (ka, ea & 1), (kb, eb & 1), (kc, ec & 1)
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        keys[v] = hash((3, x[0], x[1], y[0], y[1], z[0], z[1]))
+        if not reorder:
+            continue
+        # each child's _SLOT_SCORES class, inlined: this loop is hot
+        ia = 0 if ea < 2 else 1 if ea & 1 else 2 if ca[na] >= 0 and refs[na] == 1 else 3
+        ib = 0 if eb < 2 else 1 if eb & 1 else 2 if ca[nb] >= 0 and refs[nb] == 1 else 3
+        ic = 0 if ec < 2 else 1 if ec & 1 else 2 if ca[nc] >= 0 and refs[nc] == 1 else 3
+        encodings = (ea, eb, ec)
+        a, b, z = _slot_permutation(16 * ia + 4 * ib + ic, encodings, (ka, kb, kc))
+        if (a, b, z) != (0, 1, 2):
+            reorder_children(
+                v, (Signal(encodings[a]), Signal(encodings[b]), Signal(encodings[z]))
+            )
+    return keys
+
 
 def structural_keys(mig: Mig) -> list[int]:
     """A stored-order-independent structural fingerprint per node.
@@ -109,43 +205,7 @@ def structural_keys(mig: Mig) -> list[int]:
     ordinary ``hash`` values of int tuples — deterministic across
     processes (no strings involved).
     """
-    keys = [0] * len(mig)
-    keys[0] = hash((1, 0))
-    for i, pi in enumerate(mig.pis()):
-        keys[pi.node] = hash((2, i))
-    for v in mig.topo_gates():
-        a, b, c = mig.children(v)
-        pairs = sorted(
-            (keys[s.node], int(s) & 1) for s in (a, b, c)
-        )
-        keys[v] = hash((3,) + pairs[0] + pairs[1] + pairs[2])
-    return keys
-
-
-def _best_permutation(
-    scores: list[tuple[int, int, int]],
-    triple,
-    child_keys: list[int],
-) -> tuple[int, int, int]:
-    """Slot permutation with minimal score, ties broken canonically.
-
-    ``child_keys`` holds the per-slot structural keys of the (pre-rewrite)
-    children.  The tie-break ranks the permuted arrangement by each
-    child's key and stored polarity, so the chosen order does not depend
-    on the incoming stored order.
-    """
-    best = None
-    for perm in _CHILD_PERMUTATIONS:
-        a, b, z = perm
-        cost = scores[a][0] + scores[b][1] + scores[z][2]
-        rank = (
-            cost,
-            (child_keys[a], int(triple[a]) & 1),
-            (child_keys[b], int(triple[b]) & 1),
-        )
-        if best is None or rank < best[0]:
-            best = (rank, perm)
-    return best[1]
+    return _structural_sweep(mig, reorder=False)
 
 
 def pass_commutativity(mig: Mig) -> Mig:
@@ -173,24 +233,20 @@ def pass_commutativity(mig: Mig) -> Mig:
     fanouts = fanout_counts(mig)
     keys = structural_keys(mig)
 
-    def slot_scores(child: Signal, single_gate: bool) -> tuple[int, int, int]:
-        """(A, B, Z) overhead estimates for placing ``child`` in each slot."""
-        if child.is_const:
-            return SLOT_SCORES_CONST
-        if child.inverted:
-            return SLOT_SCORES_INVERTED
-        return SLOT_SCORES_PLAIN_SINGLE_GATE if single_gate else SLOT_SCORES_PLAIN
-
     def gate_fn(new: Mig, old: int, mapped):
         old_children = mig.children(old)
-        scores = []
-        for i, child in enumerate(mapped):
-            single_gate = (
-                mig.is_gate(old_children[i].node) and fanouts[old_children[i].node] == 1
-            )
-            scores.append(slot_scores(child, single_gate))
+        classes = 0  # base-4 digits of the _SLOT_SCORES classes
+        for child, old_child in zip(mapped, old_children):
+            if child.is_const:
+                classes = 4 * classes
+            elif child.inverted:
+                classes = 4 * classes + 1
+            elif mig.is_gate(old_child.node) and fanouts[old_child.node] == 1:
+                classes = 4 * classes + 2
+            else:
+                classes = 4 * classes + 3
         old_keys = [keys[s.node] for s in old_children]
-        a, b, z = _best_permutation(scores, mapped, old_keys)
+        a, b, z = _slot_permutation(classes, mapped, old_keys)
         return new.add_maj(mapped[a], mapped[b], mapped[z])
 
     new, _ = mig.rebuild(gate_fn)
@@ -240,17 +296,18 @@ def pass_distributivity_rl(mig: Mig) -> Mig:
 
 
 def _common_pair(
-    a: tuple[Signal, Signal, Signal], b: tuple[Signal, Signal, Signal]
-) -> Optional[tuple[tuple[Signal, Signal], Signal, Signal]]:
-    """Find two signals shared by triples ``a`` and ``b`` (as multisets).
+    a: tuple[int, int, int], b: tuple[int, int, int]
+) -> Optional[tuple[tuple[int, int], int, int]]:
+    """Find two edges shared by triples ``a`` and ``b`` (as multisets).
 
-    Returns ``((x, y), p, q)`` where ``x, y`` are the shared signals and
-    ``p`` / ``q`` the leftovers of ``a`` / ``b``, or ``None`` if fewer than
-    two signals are shared.
+    The edges are child encodings — raw ints in the local rule, signals
+    (an ``int`` subclass) in the pass.  Returns ``((x, y), p, q)`` where
+    ``x, y`` are the shared edges and ``p`` / ``q`` the leftovers of ``a``
+    / ``b``, or ``None`` if fewer than two edges are shared.
     """
     rest_b = list(b)
-    shared: list[Signal] = []
-    rest_a: list[Signal] = []
+    shared: list[int] = []
+    rest_a: list[int] = []
     for s in a:
         if s in rest_b:
             rest_b.remove(s)
@@ -574,53 +631,59 @@ def try_distributivity_rl(
     """Ω.D(R→L) at ``v``: ``⟨⟨x y u⟩ ⟨x y v⟩ z⟩ → ⟨x y ⟨u v z⟩⟩``.
 
     Applied when both inner gates have a single fanout, so the rewrite
-    removes one node.  Edge polarity is handled through Ω.I
-    (:func:`effective_children`).  The restructured cone can be *deeper*
-    than the original (``z`` gains a level); under ``depth_budget`` a
-    candidate whose predicted level increase could push a PO past the
-    budget is rejected before any node is created.
+    removes one node.  Edge polarity is handled through Ω.I: a
+    complemented edge to an inner gate matches against its complemented
+    children.  The restructured cone can be *deeper* than the original
+    (``z`` gains a level); under ``depth_budget`` a candidate whose
+    predicted level increase could push a PO past the budget is rejected
+    before any node is created.
     """
     _require_levels_for_budget(mig, depth_budget)
-    # bound once, matched on raw encodings: this loop is the hot path and
-    # mostly rejects, so Signals are only built for surviving candidates
+    # matched on raw encodings: this loop is the hot path and mostly
+    # rejects, so a Signal is only built for a committed replacement
     ca, cb, cc = mig._ca, mig._cb, mig._cc
     enc = (ca[v], cb[v], cc[v])
+    # the children that can be an inner gate: gates (child slot a is not
+    # empty) with a single reader; a pair needs two of them
+    inner_ok = [ca[e >> 1] >= 0 and _fanout(mig, fanouts, e >> 1) == 1 for e in enc]
+    if inner_ok.count(True) < 2:
+        return set()
     levels = mig._levels
     for i, j in ((0, 1), (0, 2), (1, 2)):
+        if not (inner_ok[i] and inner_ok[j]):
+            continue
         ei, ej = enc[i], enc[j]
         ni, nj = ei >> 1, ej >> 1
         if ni == nj:
             continue
-        if ca[ni] < 0 or ca[nj] < 0:  # child slot a empty => not a gate
-            continue
-        if _fanout(mig, fanouts, ni) != 1 or _fanout(mig, fanouts, nj) != 1:
-            continue
+        pi, pj = ei & 1, ej & 1
         common = _common_pair(
-            effective_children(mig, Signal(ei)), effective_children(mig, Signal(ej))
+            (ca[ni] ^ pi, cb[ni] ^ pi, cc[ni] ^ pi),
+            (ca[nj] ^ pj, cb[nj] ^ pj, cc[nj] ^ pj),
         )
         if common is None:
             continue
         (x, y), p, q = common
-        z = Signal(enc[3 - i - j])
+        z = enc[3 - i - j]
         if depth_budget is not None:
             inner_level = _predicted_level(levels, (p, q, z))
             outer_level = _predicted_level(levels, (x, y), floor=inner_level)
             if _exceeds_depth_budget(mig, v, outer_level, depth_budget):
                 continue
         first_new = len(mig)
-        inner = mig.add_maj(p, q, z)
-        outer = mig.add_maj(x, y, inner)
+        inner = mig.add_maj_enc(p, q, z)
+        outer = mig.add_maj_enc(x, y, inner)
         for node in range(first_new, len(mig)):
             mig.inherit_order(node, v)
-        if outer.node == v:  # degenerate: the pattern reproduced v itself
-            mig.release_if_dead(inner.node)
+        if outer >> 1 == v:  # degenerate: the pattern reproduced v itself
+            mig.release_if_dead(inner >> 1)
             continue
-        affected = mig.replace_node(v, outer)
+        affected = mig.replace_node(v, Signal(outer))
         # ``outer`` may have simplified or hashed past a freshly created
         # ``inner``; sweep the speculative gate if nothing reads it.
-        mig.release_if_dead(inner.node)
+        mig.release_if_dead(inner >> 1)
         affected.update(
-            u for u in (inner.node, outer.node) if mig.is_gate(u)
+            u for u in (inner >> 1, outer >> 1) if mig.is_gate(u)
         )
         return affected
     return set()
@@ -649,17 +712,17 @@ def try_associativity(
     gated).
     """
     _require_levels_for_budget(mig, depth_budget)
-    # raw-encoding prefilter: most gates reject on the fanout test, so
-    # Signal construction is deferred until a candidate child survives
-    ca = mig._ca
-    enc = (ca[v], mig._cb[v], mig._cc[v])
+    # matched on raw encodings; a Signal is only built for the commit
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    enc = (ca[v], cb[v], cc[v])
     for k in range(3):
-        n = enc[k] >> 1
+        ek = enc[k]
+        n = ek >> 1
         if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
             continue
-        g = Signal(enc[k])
-        inner = effective_children(mig, g)
-        others = [Signal(enc[i]) for i in range(3) if i != k]
+        p = ek & 1
+        inner = (ca[n] ^ p, cb[n] ^ p, cc[n] ^ p)
+        others = enc[:k] + enc[k + 1:]
         for u_pos in range(2):
             u = others[u_pos]
             x = others[1 - u_pos]
@@ -669,25 +732,23 @@ def try_associativity(
             rest.remove(u)
             y, z = rest
             before = len(mig)
-            swapped = mig.add_maj(y, u, x)
+            swapped = mig.add_maj_enc(y, u, x)
             if len(mig) > before:  # not free: keep the speculative gate
-                mig.inherit_order(swapped.node, v)
+                mig.inherit_order(swapped >> 1, v)
                 continue
             if depth_budget is not None:
-                replacement_level = _predicted_level(
-                    mig._levels, (z, u, swapped)
-                )
+                replacement_level = _predicted_level(mig._levels, (z, u, swapped))
                 if _exceeds_depth_budget(mig, v, replacement_level, depth_budget):
                     continue
             first_new = len(mig)
-            replacement = mig.add_maj(z, u, swapped)
+            replacement = mig.add_maj_enc(z, u, swapped)
             for node in range(first_new, len(mig)):
                 mig.inherit_order(node, v)
-            if replacement.node == v:  # the swap reproduced v itself
+            if replacement >> 1 == v:  # the swap reproduced v itself
                 continue
-            affected = mig.replace_node(v, replacement)
-            if mig.is_gate(replacement.node):
-                affected.add(replacement.node)
+            affected = mig.replace_node(v, Signal(replacement))
+            if mig.is_gate(replacement >> 1):
+                affected.add(replacement >> 1)
             return affected
     return set()
 
@@ -718,21 +779,23 @@ def try_associativity_depth(
             "try_associativity_depth needs level maintenance; "
             "call enable_levels() first"
         )
-    triple = mig.children(v)
-    ca = mig._ca  # bound once: this match loop is the hot path
+    # matched on raw encodings; a Signal is only built for the commit
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    enc = (ca[v], cb[v], cc[v])
     levels = mig._levels
     lv = levels[v]
     for k in range(3):
-        g = triple[k]
-        n = int(g) >> 1
+        ek = enc[k]
+        n = ek >> 1
         # A swap can only lower v's level when the inner gate is the
         # critical child — cheap reject before any pattern matching.
         if levels[n] + 1 != lv:
             continue
         if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
             continue
-        inner = effective_children(mig, g)
-        others = [triple[i] for i in range(3) if i != k]
+        p = ek & 1
+        inner = (ca[n] ^ p, cb[n] ^ p, cc[n] ^ p)
+        others = enc[:k] + enc[k + 1:]
         for u_pos in range(2):
             u = others[u_pos]
             x = others[1 - u_pos]
@@ -741,27 +804,27 @@ def try_associativity_depth(
             rest = list(inner)
             rest.remove(u)
             # shallower inner child is y, deeper is z
-            y, z = sorted(rest, key=lambda s: levels[int(s) >> 1])
-            lu, lx = levels[int(u) >> 1], levels[int(x) >> 1]
-            ly, lz = levels[int(y) >> 1], levels[int(z) >> 1]
+            y, z = sorted(rest, key=lambda e: levels[e >> 1])
+            lu, lx = levels[u >> 1], levels[x >> 1]
+            ly, lz = levels[y >> 1], levels[z >> 1]
             before = 1 + max(lx, lu, 1 + max(ly, lu, lz))
             after = 1 + max(lz, lu, 1 + max(ly, lu, lx))
             if after >= before:
                 continue  # no strict depth win
             first_new = len(mig)
-            swapped = mig.add_maj(y, u, x)
-            replacement = mig.add_maj(z, u, swapped)
+            swapped = mig.add_maj_enc(y, u, x)
+            replacement = mig.add_maj_enc(z, u, swapped)
             for node in range(first_new, len(mig)):
                 mig.inherit_order(node, v)
-            if replacement.node == v:  # the swap reproduced v itself
-                mig.release_if_dead(swapped.node)
+            if replacement >> 1 == v:  # the swap reproduced v itself
+                mig.release_if_dead(swapped >> 1)
                 continue
-            affected = mig.replace_node(v, replacement)
+            affected = mig.replace_node(v, Signal(replacement))
             # ``replacement`` may have simplified or hashed past the
             # freshly created ``swapped``; sweep it if nothing reads it.
-            mig.release_if_dead(swapped.node)
+            mig.release_if_dead(swapped >> 1)
             affected.update(
-                n for n in (swapped.node, replacement.node) if mig.is_gate(n)
+                g for g in (swapped >> 1, replacement >> 1) if mig.is_gate(g)
             )
             return affected
     return set()
@@ -784,39 +847,42 @@ def try_complementary_associativity(
     deeper signal).
     """
     _require_levels_for_budget(mig, depth_budget)
-    triple = mig.children(v)
+    # matched on raw encodings; a Signal is only built for the commit
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    enc = (ca[v], cb[v], cc[v])
     for k in range(3):
-        g = triple[k]
-        if not mig.is_gate(g.node) or _fanout(mig, fanouts, g.node) != 1:
+        ek = enc[k]
+        n = ek >> 1
+        if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
             continue
-        inner = effective_children(mig, g)
-        others = [triple[i] for i in range(3) if i != k]
+        p = ek & 1
+        inner = (ca[n] ^ p, cb[n] ^ p, cc[n] ^ p)
+        others = enc[:k] + enc[k + 1:]
         for u_pos in range(2):
             u = others[u_pos]
             x = others[1 - u_pos]
-            if ~u not in inner:
+            not_u = u ^ 1
+            if not_u not in inner:
                 continue
-            replaced = tuple(x if s == ~u else s for s in inner)
+            replaced = [x if e == not_u else e for e in inner]
             before = len(mig)
-            new_inner = mig.add_maj(*replaced)
+            new_inner = mig.add_maj_enc(*replaced)
             if len(mig) > before:  # not free: keep the speculative gate
-                mig.inherit_order(new_inner.node, v)
+                mig.inherit_order(new_inner >> 1, v)
                 continue
             if depth_budget is not None:
-                replacement_level = _predicted_level(
-                    mig._levels, (x, u, new_inner)
-                )
+                replacement_level = _predicted_level(mig._levels, (x, u, new_inner))
                 if _exceeds_depth_budget(mig, v, replacement_level, depth_budget):
                     continue
             first_new = len(mig)
-            replacement = mig.add_maj(x, u, new_inner)
+            replacement = mig.add_maj_enc(x, u, new_inner)
             for node in range(first_new, len(mig)):
                 mig.inherit_order(node, v)
-            if replacement.node == v:  # the rewrite reproduced v itself
+            if replacement >> 1 == v:  # the rewrite reproduced v itself
                 continue
-            affected = mig.replace_node(v, replacement)
-            if mig.is_gate(replacement.node):
-                affected.add(replacement.node)
+            affected = mig.replace_node(v, Signal(replacement))
+            if mig.is_gate(replacement >> 1):
+                affected.add(replacement >> 1)
             return affected
     return set()
 

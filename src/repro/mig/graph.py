@@ -224,7 +224,8 @@ class Mig:
 
         Identical simplify → strash → append behavior, minus the
         :class:`Signal` wrapping and validity checks — the hot entry for
-        trusted bulk builders (:meth:`rebuild`, the reorder passes).
+        trusted bulk builders (:meth:`rebuild`, the reorder passes) and
+        the local rewrite rules.
         Callers must pass encodings of live nodes of *this* graph.
         """
         if simplify:
@@ -452,36 +453,38 @@ class Mig:
         yield from self._topo_cache
 
     def _topo_order(self) -> list[int]:
-        """Stable topological sort of the live gates by order key."""
+        """Stable topological sort of the live gates by order key.
+
+        The gates are sorted by order key once; the Kahn heap then runs
+        over their int ranks instead of comparing key tuples.
+        """
         ca, cb, cc = self._ca, self._cb, self._cc
-        order = self._order
-
-        def key(v: int) -> tuple[int, ...]:
-            return order[v] if order is not None else (v,)
-
-        result: list[int] = []
-        remaining: dict[int, int] = {}
+        by_rank = list(self.gates())
+        if self._order is not None:
+            by_rank.sort(key=self._order.__getitem__)
+        remaining = [0] * len(by_rank)
         dependents: dict[int, list[int]] = {}
-        heap: list[tuple[tuple[int, ...], int]] = []
-        for v in self.gates():
+        heap: list[int] = []  # ascending ranks: already a valid heap
+        for rank, v in enumerate(by_rank):
             count = 0
             for e in (ca[v], cb[v], cc[v]):
                 child = e >> 1
                 if ca[child] >= 0:
                     count += 1
-                    dependents.setdefault(child, []).append(v)
-            if count == 0:
-                heapq.heappush(heap, (key(v), v))
+                    dependents.setdefault(child, []).append(rank)
+            if count:
+                remaining[rank] = count
             else:
-                remaining[v] = count
+                heap.append(rank)
+        result: list[int] = []
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
-            v = heapq.heappop(heap)[1]
+            v = by_rank[heappop(heap)]
             result.append(v)
-            for p in dependents.get(v, ()):
-                remaining[p] -= 1
-                if remaining[p] == 0:
-                    del remaining[p]
-                    heapq.heappush(heap, (key(p), p))
+            for rank in dependents.get(v, ()):
+                remaining[rank] -= 1
+                if remaining[rank] == 0:
+                    heappush(heap, rank)
         return result
 
     def nodes(self) -> Iterator[int]:

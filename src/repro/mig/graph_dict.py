@@ -226,6 +226,11 @@ class DictMig:
             self._levels.append(1 + max(self._levels[s.node] for s in (a, b, c)))
         return Signal.make(index)
 
+    def add_maj_enc(self, ea: int, eb: int, ec: int, *, simplify: bool = True) -> int:
+        """Encoding-level :meth:`add_maj` (the entry the local rules build
+        through): child encodings in, encoding out."""
+        return int(self.add_maj(Signal(ea), Signal(eb), Signal(ec), simplify=simplify))
+
     def add_po(self, signal: Signal, name: Optional[str] = None) -> int:
         """Register ``signal`` as a primary output; returns the PO index."""
         signal = self._check_signal(signal)
