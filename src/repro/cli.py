@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compile",
         help="compile a circuit file to a PLiM program",
         epilog="examples: plimc compile adder.blif --objective balanced;  "
-        "plimc compile c.mig --objective depth --engine rebuild (the oracle);  "
+        "plimc compile c.mig --objective depth --engine rebuild (the paper's pass pipeline);  "
         "use 'plimc pareto' to sweep the whole (#N, #D) trade-off",
     )
     p.add_argument("circuit", help="input circuit (.mig, .blif, .aag, .aig)")

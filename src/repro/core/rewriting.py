@@ -7,12 +7,17 @@ Two engines implement the algorithm:
   snapshot taken at the phase start, and applies its rules locally
   through :meth:`~repro.mig.graph.Mig.replace_node`, which cascades
   structural-hash merges and Ω.M collapses upward.  The rules match on
-  the raw child encodings.  The fixed-point signature is maintained
-  incrementally (O(1) per check), and dead-node compaction is deferred to
-  a single final cleanup;
-* ``engine="rebuild"`` — the original pass pipeline in which every Ω pass
+  the raw child encodings.  Work is paid only where something can
+  change: the Ω.A phase builds its speculative candidate gates only
+  before a visit that may commit, Ω.C re-evaluates only the gates whose
+  slot decision can differ from the last sweep's, and Ω.D skips gates
+  without two single-reader gate children.  The fixed-point signature
+  is maintained incrementally (O(1) per check), and dead-node compaction
+  is deferred to a single final cleanup;
+* ``engine="rebuild"`` — the paper's pass pipeline, in which every Ω pass
   is a full :meth:`~repro.mig.graph.Mig.rebuild` (one effort cycle copies
-  the whole MIG ~8 times).  Kept as the differential-testing oracle.
+  the whole MIG ~8 times).  Its results are functionally equivalent to
+  the worklist engine's but not byte-identical.
 
 Each effort cycle applies, in the paper's order:
 
@@ -58,8 +63,10 @@ from repro.core.cost import (
 )
 from repro.errors import MigError, ReproError
 from repro.mig.algebra import (
-    _structural_sweep,
+    associativity_candidates,
+    canonicalize_inplace,
     complement_profile,
+    complementary_associativity_candidates,
     flip_complement,
     pass_associativity,
     pass_associativity_depth,
@@ -106,7 +113,7 @@ class RewriteOptions:
     #: the MIG algebra's derived rule set and strictly size-safe
     use_psi: bool = False
     #: "worklist" (in-place, incremental — the default) or "rebuild" (the
-    #: original whole-graph pass pipeline, kept as the oracle)
+    #: paper's whole-graph pass pipeline)
     engine: str = "worklist"
     #: optimization target: "size" (the paper's Algorithm 1 — serial PLiM
     #: programs only care about node count), "depth" (critical-path Ω.A
@@ -213,7 +220,7 @@ def rewrite_for_plim(
         if opts.engine != "worklist":
             raise ReproError(
                 "depth_budget requires engine='worklist' (the rebuild "
-                "oracle has no incremental level maintenance to gate on)"
+                "pipeline has no incremental level maintenance to gate on)"
             )
         if opts.objective == "depth":
             raise ReproError(
@@ -309,7 +316,10 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     creation-order index, and the closing Ω.C pass restores the
     translation-friendly child order exactly like the rebuild engine.
     """
-    work, _ = mig.rebuild()  # private copy; also the initial Ω.M cleanup
+    # private copy; also the initial Ω.M cleanup
+    work = mig.cleaned()
+    if work is mig:
+        work = mig.clone()
     work.enable_inplace()
     if opts.depth_budget is not None:
         work.enable_levels()
@@ -390,17 +400,19 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     budget — size rewriting under a hard depth ceiling.
     """
     budget = opts.depth_budget
-    _worklist_phase(work, (try_distributivity_rl,), depth_budget=budget)
-    reshaping = [try_associativity]
+    _distributivity_phase(work, budget)
+    reshaping = [(associativity_candidates, try_associativity)]
     if opts.use_psi:
-        reshaping.append(try_complementary_associativity)
-    _worklist_phase(work, tuple(reshaping), depth_budget=budget)
+        reshaping.append(
+            (complementary_associativity_candidates, try_complementary_associativity)
+        )
+    _reshaping_phase(work, tuple(reshaping), budget)
     # The reshaping rules keep rejected candidates as speculative
     # zero-fanout gates (they seed sharing like a pass's abandoned nodes);
     # sweep them at the phase boundary, like a pass's trailing rebuild.
     work.collect_unused()
     _sweep_commutativity(work)
-    _worklist_phase(work, (try_distributivity_rl,), depth_budget=budget)
+    _distributivity_phase(work, budget)
 
 
 def _worklist_phase(
@@ -432,6 +444,121 @@ def _worklist_phase(
                 break
 
 
+def _distributivity_phase(work: Mig, depth_budget: Optional[int]) -> None:
+    """One Ω.D(R→L) phase: :func:`_worklist_phase` with a snapshot filter.
+
+    The rule needs two children that are gates with a single reader.  For
+    children that existed at the phase start that is read off the fanout
+    snapshot, so a gate with fewer than two such children is skipped
+    without a rule call.  A gate with a child created during the phase
+    goes to the rule, which reads that child's live reader count.
+    """
+    fanouts = work.fanout_snapshot()
+    size = len(fanouts)
+    single = _single_reader_gates(work, fanouts)
+    ca, cb, cc = work._ca, work._cb, work._cc
+    for v in list(work.topo_gates()):
+        ea = ca[v]
+        if ea < 0:
+            continue
+        na, nb, nc = ea >> 1, cb[v] >> 1, cc[v] >> 1
+        if na < size and nb < size and nc < size and single[na] + single[nb] + single[nc] < 2:
+            continue
+        try_distributivity_rl(work, v, fanouts, depth_budget)
+
+
+def _single_reader_gates(work: Mig, fanouts: list[int]) -> bytearray:
+    """1 per snapshot node that is a gate with exactly one reader — the
+    inner gates the Ω.D and Ω.A rules look for."""
+    single = bytearray(map((1).__eq__, fanouts))
+    single[0] = 0
+    for pi in work._pi_ids:
+        single[pi] = 0
+    return single
+
+
+def _reshaping_phase(work: Mig, rules: tuple, depth_budget: Optional[int]) -> None:
+    """The Ω.A[; Ψ.A] phase, with speculative candidate gates deferred.
+
+    ``rules`` pairs each candidate generator with the committing rule that
+    runs on it.  The committing rules build every candidate they reject as
+    a speculative gate, and most visits reject all of theirs.  So a visit
+    first runs a lookup-only check over the same generators
+    (:func:`_new_inner_gates`; a gate without a single-reader gate child
+    in the fanout snapshot has no candidate at all).  A visit without a
+    free candidate commits nothing; its new inner gates become *pending*:
+    each reserves its node index as a tombstone slot
+    (:meth:`~repro.mig.graph.Mig.reserve_gate`).  Before a visit with a
+    free candidate the pending gates are built into their slots, in order
+    (:meth:`~repro.mig.graph.Mig.fill_gate`), and the committing rules
+    run.  So each commit sees the graph, index for index, that building
+    every candidate on the spot would have produced.
+
+    A visit to a gate with a child created during the phase builds the
+    pending gates and runs the committing rules too: the rules read that
+    child's live reader count, which counts the candidate gates built
+    before it, in this visit as well.  At the phase end the pending gates
+    are dropped — the ``collect_unused`` that follows would sweep them —
+    but their parent-set entries are added and removed as building and
+    sweeping them would have done: ``replace_node`` iterates parent sets,
+    and a Python set's iteration order depends on its past insertions.
+    """
+    fanouts = work.fanout_snapshot()
+    size = len(fanouts)
+    single = _single_reader_gates(work, fanouts)
+    ca, cb, cc = work._ca, work._cb, work._cc
+    pending: dict = {}  # strash key -> (reserved slot, inner triple)
+    for v in list(work.topo_gates()):
+        ea = ca[v]
+        if ea < 0:
+            continue
+        na, nb, nc = ea >> 1, cb[v] >> 1, cc[v] >> 1
+        if na < size and nb < size and nc < size:
+            if not (single[na] or single[nb] or single[nc]):
+                continue  # no inner gate, no candidate
+            fresh = _new_inner_gates(work, v, fanouts, rules, pending)
+            if fresh is not None:
+                for key, triple in fresh.items():
+                    pending[key] = (work.reserve_gate(v), triple)
+                continue
+        for slot, triple in pending.values():
+            work.fill_gate(slot, *triple)
+        pending.clear()
+        for _, rule in rules:
+            if rule(work, v, fanouts, depth_budget) or ca[v] < 0:
+                break
+    parents = work._parents
+    for slot, triple in pending.values():
+        for e in triple:
+            parents[e >> 1].add(slot)
+    for slot, triple in pending.values():
+        for e in triple:
+            parents[e >> 1].discard(slot)
+
+
+def _new_inner_gates(
+    work: Mig, v: int, fanouts: list[int], rules: tuple, pending: dict
+) -> Optional[dict]:
+    """Lookup-only run of the reshaping rules at ``v``.
+
+    ``None`` when some candidate is free — its inner triple simplifies,
+    is in the strash, is pending, or repeats an earlier candidate of this
+    visit — so the visit may commit.  Otherwise the inner triples the
+    rules would build, by strash key in creation order.
+    """
+    strash, pack_key, simplify = work._strash, work._pack_key, Mig._simplify_enc
+    fresh: dict = {}
+    for candidates, _ in rules:
+        for triple, _ in candidates(work, v, fanouts):
+            if simplify(*triple) >= 0:
+                return None
+            key = pack_key(*triple)
+            if key in strash or key in pending or key in fresh:
+                return None
+            fresh[key] = triple
+    return fresh
+
+
 def _sweep_commutativity(work: Mig) -> None:
     """In-place Ω.C: per-gate slot permutation, same scoring and canonical
     tie-breaking as :func:`~repro.mig.algebra.pass_commutativity`.
@@ -439,9 +566,11 @@ def _sweep_commutativity(work: Mig) -> None:
     Purely a stored-order change (the strash key is order-insensitive),
     so one topological sweep suffices, fused with the structural keys
     that break score ties: a child's key is final before its parent is
-    visited, and a reorder never changes a key.
+    visited, and a reorder never changes a key.  After the first sweep
+    only the gates whose decision can have changed are re-evaluated
+    (:func:`~repro.mig.algebra.canonicalize_inplace`).
     """
-    _structural_sweep(work, reorder=True)
+    canonicalize_inplace(work)
 
 
 def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
@@ -458,7 +587,7 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
     extra_cost = negation_cost
     profile = Mig._profile_enc
     order = list(work.topo_gates())
-    position = {v: i for i, v in enumerate(order)}
+    position: dict[int, int] = {}  # filled by the first flip that needs it
     evicted: set[int] = set()
     ca, cb, cc = work._ca, work._cb, work._cc  # encoding views, hot sweep
     parents = work._parents
@@ -467,9 +596,11 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
         if ea < 0:  # replaced by an earlier flip's cascade
             continue
         eb, ec = cb[v], cc[v]
-        complemented, has_const = profile(ea, eb, ec)
+        # complemented non-constant children (Mig._profile_enc, inlined)
+        complemented = (ea > 1 and ea & 1) + (eb > 1 and eb & 1) + (ec > 1 and ec & 1)
         flip = False
         if complemented >= 2:
+            has_const = ea < 2 or eb < 2 or ec < 2
             num_nonconst = (ea > 1) + (eb > 1) + (ec > 1)
             # Cost at this node if we flip: complements become k - c.
             delta = extra_cost(num_nonconst - complemented, has_const) - extra_cost(
@@ -493,30 +624,32 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
                     delta += po_negation_cost * (-1 if po.inverted else 1)
             flip = delta <= 0
         if flip or v in evicted:
-            _visit_for_flip(work, v, flip, position, evicted)
+            _visit_for_flip(work, v, flip, order, position, evicted)
 
 
 def _sweep_push_inverters(work: Mig, threshold: int) -> None:
     """In-place unconditional Ω.I(R→L) sweep (:func:`try_push_inverters`)."""
     order = list(work.topo_gates())
-    position = {v: i for i, v in enumerate(order)}
+    position: dict[int, int] = {}  # filled by the first flip that needs it
     evicted: set[int] = set()
     ca, cb, cc = work._ca, work._cb, work._cc  # encoding views, hot sweep
-    profile = Mig._profile_enc
     for v in order:
         ea = ca[v]
         if ea < 0:
             continue
-        inverted_nonconst, _ = profile(ea, cb[v], cc[v])
+        eb, ec = cb[v], cc[v]
+        # complemented non-constant children (Mig._profile_enc, inlined)
+        inverted_nonconst = (ea > 1 and ea & 1) + (eb > 1 and eb & 1) + (ec > 1 and ec & 1)
         flip = inverted_nonconst >= threshold
         if flip or v in evicted:
-            _visit_for_flip(work, v, flip, position, evicted)
+            _visit_for_flip(work, v, flip, order, position, evicted)
 
 
 def _visit_for_flip(
     work: Mig,
     v: int,
     flip: bool,
+    order: list[int],
     position: dict[int, int],
     evicted: set[int],
 ) -> None:
@@ -532,13 +665,12 @@ def _visit_for_flip(
     if flip:
         a, b, c = work.children(v)
         owner = work.strash_owner(~a, ~b, ~c)
-        if (
-            owner is not None
-            and work.is_gate(owner)
-            and position.get(owner, -1) > position[v]
-        ):
-            work.evict_strash(owner)
-            evicted.add(owner)
+        if owner is not None and work.is_gate(owner):
+            if not position:  # the sweep's positions, built on first need
+                position.update((u, i) for i, u in enumerate(order))
+            if position.get(owner, -1) > position[v]:
+                work.evict_strash(owner)
+                evicted.add(owner)
         flip_complement(work, v)
     elif v in evicted:
         evicted.discard(v)
@@ -551,7 +683,7 @@ def _visit_for_flip(
 
 
 def _rewrite_objective_rebuild(mig: Mig, opts: RewriteOptions) -> Mig:
-    """Depth/balanced objectives on the rebuild pass pipeline (the oracle).
+    """Depth/balanced objectives on the paper's rebuild pass pipeline.
 
     ``objective="depth"`` is the original one-shot ``rewrite_depth``
     semantics: iterate ``pass_associativity_depth`` + Ω.M, accept only
@@ -619,7 +751,7 @@ def _rewrite_objective_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
             ) == (before_sig, before_depth):
                 break
         elif work.current_depth() >= before_depth:
-            # pure depth mirrors the oracle's strict-improvement rule:
+            # pure depth mirrors the rebuild pipeline's strict-improvement rule:
             # stop as soon as a cycle fails to lower the global depth
             # (already-applied local moves are harmless — depth is
             # monotonically non-increasing under the rule)
@@ -892,7 +1024,7 @@ def rewrite_depth(mig: Mig, effort: int = 4, engine: str = "worklist") -> Mig:
     are serial so Table 1 only needs area, but depth matters for any
     parallel in-memory target.  Convenience wrapper for
     ``rewrite_for_plim(mig, RewriteOptions(objective="depth"))``; pass
-    ``engine="rebuild"`` for the original pass-pipeline oracle.
+    ``engine="rebuild"`` for the paper's pass pipeline.
     Function-preserving and never size-increasing beyond the Ω.A
     reshaping itself.
 

@@ -26,7 +26,8 @@ lives in :mod:`repro.core.rewriting`.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.errors import MigError
 from repro.mig.analysis import fanout_counts
@@ -149,6 +150,15 @@ def _slot_permutation(classes: int, encodings, child_keys) -> tuple[int, int, in
     return best
 
 
+def _leaf_keys(mig: Mig) -> list[int]:
+    """Structural keys of the constant and the PIs; 0 for every gate."""
+    keys = [0] * len(mig)
+    keys[0] = hash((1, 0))
+    for i, pi in enumerate(mig.pis()):
+        keys[pi.node] = hash((2, i))
+    return keys
+
+
 def _structural_sweep(mig: Mig, reorder: bool) -> list[int]:
     """One topological pass computing :func:`structural_keys`, and with
     ``reorder`` also the in-place Ω.C of an ``enable_inplace()`` graph.
@@ -159,13 +169,10 @@ def _structural_sweep(mig: Mig, reorder: bool) -> list[int]:
     slot scores (:data:`_SLOT_SCORES`) is read from the graph as it
     stands, with the live reference count as its fanout.
     """
-    keys = [0] * len(mig)
-    keys[0] = hash((1, 0))
-    for i, pi in enumerate(mig.pis()):
-        keys[pi.node] = hash((2, i))
+    keys = _leaf_keys(mig)
     ca, cb, cc = mig._ca, mig._cb, mig._cc
     refs = mig._refs
-    reorder_children = mig.reorder_children
+    store = mig.reorder_children_enc
     for v in mig.topo_gates():
         ea, eb, ec = ca[v], cb[v], cc[v]
         na, nb, nc = ea >> 1, eb >> 1, ec >> 1
@@ -187,10 +194,117 @@ def _structural_sweep(mig: Mig, reorder: bool) -> list[int]:
         encodings = (ea, eb, ec)
         a, b, z = _slot_permutation(16 * ia + 4 * ib + ic, encodings, (ka, kb, kc))
         if (a, b, z) != (0, 1, 2):
-            reorder_children(
-                v, (Signal(encodings[a]), Signal(encodings[b]), Signal(encodings[z]))
-            )
+            store(v, encodings[a], encodings[b], encodings[z])
     return keys
+
+
+@dataclass(slots=True)
+class _OmegaCMemo:
+    """What the last :func:`canonicalize_inplace` sweep of a graph saw."""
+
+    #: structural key per node
+    keys: list
+    #: per gate, the child nodes it had when last evaluated
+    seen: list
+    #: reference counts at the end of the sweep
+    refs: list
+    #: gates with two children tied on (key, polarity)
+    tied: set
+
+
+def canonicalize_inplace(mig: Mig) -> None:
+    """In-place Ω.C of an ``enable_inplace()`` graph, incremental.
+
+    The same per-gate decision as ``_structural_sweep(mig, reorder=True)``.
+    The first call evaluates every gate and leaves its memory on the graph
+    (:class:`_OmegaCMemo`).  A later call re-evaluates, in topological
+    order, only the gates whose decision can differ:
+
+    * the child triple changed — the gate is in the graph's change record
+      (``Mig._touched``: gates created, rewired, reordered or retired, and
+      nodes whose primary-output readers moved);
+    * a child's single-reader class changed — its reader count crossed 1.
+      Only nodes in the change record and their children, before or now,
+      can have a new reader count;
+    * a child's structural key changed — found as the sweep goes, since
+      children are evaluated before their parents;
+    * two children tie on (key, polarity), so the choice among equally
+      ranked permutations falls to the stored order — these gates are
+      re-evaluated every sweep.
+
+    Any other gate would compute the same key and keep its stored order,
+    so skipping it is exact.
+    """
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    refs, parents = mig._refs, mig._parents
+    size = len(mig)
+    memo = mig._omega_c
+    if memo is None:
+        keys = _leaf_keys(mig)
+        seen: list = [None] * size
+        tied: set[int] = set()
+        pending = bytearray(b"\x01") * size
+    else:
+        keys, seen = memo.keys, memo.seen
+        grown = size - len(keys)
+        keys.extend([0] * grown)
+        seen.extend([None] * grown)
+        tied = {t for t in memo.tied if ca[t] >= 0}
+        pending = bytearray(size)
+        for t in tied:
+            pending[t] = 1
+        moved: set[int] = set()  # nodes whose reader count may have changed
+        for p in mig._touched:
+            moved.add(p)
+            before = seen[p]
+            if before is not None:
+                moved.update(before)
+            if ca[p] >= 0:
+                pending[p] = 1
+                moved.update((ca[p] >> 1, cb[p] >> 1, cc[p] >> 1))
+            else:
+                seen[p] = None
+        old_refs = memo.refs
+        known = len(old_refs)
+        for u in moved:
+            if u < known and ca[u] >= 0 and (refs[u] == 1) != (old_refs[u] == 1):
+                for q in parents[u]:
+                    pending[q] = 1
+    store = mig.reorder_children_enc
+    for v in mig.topo_gates():
+        if not pending[v]:
+            continue
+        ea, eb, ec = ca[v], cb[v], cc[v]
+        na, nb, nc = ea >> 1, eb >> 1, ec >> 1
+        ka, kb, kc = keys[na], keys[nb], keys[nc]
+        x, y, z = (ka, ea & 1), (kb, eb & 1), (kc, ec & 1)
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        key = hash((3, x[0], x[1], y[0], y[1], z[0], z[1]))
+        if key != keys[v]:
+            keys[v] = key
+            if memo is not None:
+                for q in parents[v]:
+                    pending[q] = 1
+        if x == y or y == z:
+            tied.add(v)
+        else:
+            tied.discard(v)
+        seen[v] = (na, nb, nc)
+        # each child's _SLOT_SCORES class, inlined: this loop is hot
+        ia = 0 if ea < 2 else 1 if ea & 1 else 2 if ca[na] >= 0 and refs[na] == 1 else 3
+        ib = 0 if eb < 2 else 1 if eb & 1 else 2 if ca[nb] >= 0 and refs[nb] == 1 else 3
+        ic = 0 if ec < 2 else 1 if ec & 1 else 2 if ca[nc] >= 0 and refs[nc] == 1 else 3
+        encodings = (ea, eb, ec)
+        a, b, z = _slot_permutation(16 * ia + 4 * ib + ic, encodings, (ka, kb, kc))
+        if (a, b, z) != (0, 1, 2):
+            store(v, encodings[a], encodings[b], encodings[z])
+    mig._touched.clear()
+    mig._omega_c = _OmegaCMemo(keys, seen, refs[:], tied)
 
 
 def structural_keys(mig: Mig) -> list[int]:
@@ -689,30 +803,17 @@ def try_distributivity_rl(
     return set()
 
 
-def try_associativity(
-    mig: Mig,
-    v: int,
-    fanouts: Optional[list[int]] = None,
-    depth_budget: Optional[int] = None,
-) -> set[int]:
-    """Ω.A at ``v``: ``⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩`` where it is free.
+def associativity_candidates(
+    mig: Mig, v: int, fanouts: Optional[list[int]] = None
+) -> Iterator[tuple[tuple[int, int, int], tuple[int, int]]]:
+    """Ω.A candidates at ``v`` on raw encodings, in the order they are tried.
 
-    Accepted only when the replacement inner gate ``⟨y u x⟩`` is free —
-    it simplifies or structurally hashes to an existing node — i.e. when
-    the swap opens a sharing or Ω.M opportunity without growing the graph.
-    A rejected candidate is *kept* as a speculative zero-fanout gate (it
-    seeds sharing for later checks, exactly like the abandoned gates of
-    the rebuild pass); callers sweep those with
-    :meth:`~repro.mig.graph.Mig.collect_unused` at phase boundaries.
-
-    The swap can *deepen* the graph (``x`` moves under the inner gate);
-    under ``depth_budget`` a candidate whose predicted level increase
-    could push a PO past the budget is rejected after the freeness check
-    (the speculative sharing semantics are unchanged — only the commit is
-    gated).
+    For ``⟨x u ⟨y u z⟩⟩`` (single-reader inner gate) each candidate is the
+    inner triple ``(y, u, x)`` of the swapped form ``⟨z u ⟨y u x⟩⟩`` and
+    its outer pair ``(z, u)``.  The generator only reads the graph: the
+    committing rule (:func:`try_associativity`) and the worklist engine's
+    lookup-only freeness check share it.
     """
-    _require_levels_for_budget(mig, depth_budget)
-    # matched on raw encodings; a Signal is only built for the commit
     ca, cb, cc = mig._ca, mig._cb, mig._cc
     enc = (ca[v], cb[v], cc[v])
     for k in range(3):
@@ -731,26 +832,96 @@ def try_associativity(
             rest = list(inner)
             rest.remove(u)
             y, z = rest
-            before = len(mig)
-            swapped = mig.add_maj_enc(y, u, x)
-            if len(mig) > before:  # not free: keep the speculative gate
-                mig.inherit_order(swapped >> 1, v)
+            yield (y, u, x), (z, u)
+
+
+def complementary_associativity_candidates(
+    mig: Mig, v: int, fanouts: Optional[list[int]] = None
+) -> Iterator[tuple[tuple[int, int, int], tuple[int, int]]]:
+    """Ψ.A candidates at ``v``, shaped like :func:`associativity_candidates`.
+
+    For ``⟨x u ⟨y ū z⟩⟩`` each candidate is the inner triple with ``x``
+    substituted for ``ū`` and the outer pair ``(x, u)``.
+    """
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    enc = (ca[v], cb[v], cc[v])
+    for k in range(3):
+        ek = enc[k]
+        n = ek >> 1
+        if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
+            continue
+        p = ek & 1
+        inner = (ca[n] ^ p, cb[n] ^ p, cc[n] ^ p)
+        others = enc[:k] + enc[k + 1:]
+        for u_pos in range(2):
+            u = others[u_pos]
+            x = others[1 - u_pos]
+            not_u = u ^ 1
+            if not_u not in inner:
                 continue
-            if depth_budget is not None:
-                replacement_level = _predicted_level(mig._levels, (z, u, swapped))
-                if _exceeds_depth_budget(mig, v, replacement_level, depth_budget):
-                    continue
-            first_new = len(mig)
-            replacement = mig.add_maj_enc(z, u, swapped)
-            for node in range(first_new, len(mig)):
-                mig.inherit_order(node, v)
-            if replacement >> 1 == v:  # the swap reproduced v itself
+            yield tuple(x if e == not_u else e for e in inner), (x, u)
+
+
+def _commit_reshaping(
+    mig: Mig, v: int, candidates, depth_budget: Optional[int]
+) -> set[int]:
+    """Commit the first free reshaping candidate at ``v``.
+
+    A candidate is free when its inner gate simplifies or structurally
+    hashes to an existing node.  A rejected candidate's inner gate is
+    *kept* as a speculative zero-fanout gate (it seeds sharing for later
+    checks, exactly like the abandoned gates of the rebuild pass); callers
+    sweep those with :meth:`~repro.mig.graph.Mig.collect_unused` at phase
+    boundaries.  Under ``depth_budget`` a free candidate whose predicted
+    level increase could push a PO past the budget is skipped.
+    """
+    for inner_triple, (p, q) in candidates:
+        before = len(mig)
+        inner = mig.add_maj_enc(*inner_triple)
+        if len(mig) > before:  # not free: keep the speculative gate
+            mig.inherit_order(inner >> 1, v)
+            continue
+        if depth_budget is not None:
+            replacement_level = _predicted_level(mig._levels, (p, q, inner))
+            if _exceeds_depth_budget(mig, v, replacement_level, depth_budget):
                 continue
-            affected = mig.replace_node(v, Signal(replacement))
-            if mig.is_gate(replacement >> 1):
-                affected.add(replacement >> 1)
-            return affected
+        first_new = len(mig)
+        replacement = mig.add_maj_enc(p, q, inner)
+        for node in range(first_new, len(mig)):
+            mig.inherit_order(node, v)
+        if replacement >> 1 == v:  # the rewrite reproduced v itself
+            continue
+        affected = mig.replace_node(v, Signal(replacement))
+        if mig.is_gate(replacement >> 1):
+            affected.add(replacement >> 1)
+        return affected
     return set()
+
+
+def try_associativity(
+    mig: Mig,
+    v: int,
+    fanouts: Optional[list[int]] = None,
+    depth_budget: Optional[int] = None,
+) -> set[int]:
+    """Ω.A at ``v``: ``⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩`` where it is free.
+
+    Accepted only when the replacement inner gate ``⟨y u x⟩`` is free —
+    it simplifies or structurally hashes to an existing node — i.e. when
+    the swap opens a sharing or Ω.M opportunity without growing the graph.
+    A rejected candidate is *kept* as a speculative zero-fanout gate
+    (:func:`_commit_reshaping`).
+
+    The swap can *deepen* the graph (``x`` moves under the inner gate);
+    under ``depth_budget`` a candidate whose predicted level increase
+    could push a PO past the budget is rejected after the freeness check
+    (the speculative sharing semantics are unchanged — only the commit is
+    gated).
+    """
+    _require_levels_for_budget(mig, depth_budget)
+    return _commit_reshaping(
+        mig, v, associativity_candidates(mig, v, fanouts), depth_budget
+    )
 
 
 def try_associativity_depth(
@@ -847,44 +1018,9 @@ def try_complementary_associativity(
     deeper signal).
     """
     _require_levels_for_budget(mig, depth_budget)
-    # matched on raw encodings; a Signal is only built for the commit
-    ca, cb, cc = mig._ca, mig._cb, mig._cc
-    enc = (ca[v], cb[v], cc[v])
-    for k in range(3):
-        ek = enc[k]
-        n = ek >> 1
-        if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
-            continue
-        p = ek & 1
-        inner = (ca[n] ^ p, cb[n] ^ p, cc[n] ^ p)
-        others = enc[:k] + enc[k + 1:]
-        for u_pos in range(2):
-            u = others[u_pos]
-            x = others[1 - u_pos]
-            not_u = u ^ 1
-            if not_u not in inner:
-                continue
-            replaced = [x if e == not_u else e for e in inner]
-            before = len(mig)
-            new_inner = mig.add_maj_enc(*replaced)
-            if len(mig) > before:  # not free: keep the speculative gate
-                mig.inherit_order(new_inner >> 1, v)
-                continue
-            if depth_budget is not None:
-                replacement_level = _predicted_level(mig._levels, (x, u, new_inner))
-                if _exceeds_depth_budget(mig, v, replacement_level, depth_budget):
-                    continue
-            first_new = len(mig)
-            replacement = mig.add_maj_enc(x, u, new_inner)
-            for node in range(first_new, len(mig)):
-                mig.inherit_order(node, v)
-            if replacement >> 1 == v:  # the rewrite reproduced v itself
-                continue
-            affected = mig.replace_node(v, Signal(replacement))
-            if mig.is_gate(replacement >> 1):
-                affected.add(replacement >> 1)
-            return affected
-    return set()
+    return _commit_reshaping(
+        mig, v, complementary_associativity_candidates(mig, v, fanouts), depth_budget
+    )
 
 
 def flip_complement(mig: Mig, v: int) -> set[int]:

@@ -45,7 +45,7 @@ class AnalysisContext:
         ctx = AnalysisContext(mig)
         ctx.parents      # == analysis.parents_of(mig), computed once
         ctx.levels       # == analysis.levels(mig), computed once
-        ctx.cleaned()    # AnalysisContext over mig.cleanup()[0], cached
+        ctx.cleaned()    # AnalysisContext over mig.cleaned(), cached
         ctx.reordered_dfs()  # AnalysisContext over reorder_dfs(mig), cached
 
     Pass the same context to repeated ``PlimCompiler.compile(mig, context=ctx)``
@@ -153,10 +153,16 @@ class AnalysisContext:
     # ------------------------------------------------------------------
 
     def cleaned(self) -> "AnalysisContext":
-        """Context over the cleanup image (dead gates dropped, re-hashed)."""
+        """Context over the cleanup image (dead gates dropped, re-hashed).
+
+        This context itself when the cleanup would copy the graph node for
+        node (:meth:`~repro.mig.graph.Mig.cleaned`), so the copy and its
+        analyses are not paid twice.
+        """
         self._check_current()
         if self._cleaned is None:
-            self._cleaned = AnalysisContext(self._mig.cleanup()[0])
+            clean = self._mig.cleaned()
+            self._cleaned = self if clean is self._mig else AnalysisContext(clean)
         return self._cleaned
 
     def reordered_dfs(self) -> "AnalysisContext":

@@ -148,6 +148,13 @@ class Mig:
         # (see topo_gates)
         self._order: Optional[list[tuple[int, ...]]] = None
         self._edit_count: int = 0
+        # nodes whose child triple or primary-output readers changed since
+        # the last in-place Ω.C sweep (set by enable_inplace), and that
+        # sweep's memory (structural keys and what it saw; owned by
+        # repro.mig.algebra.canonicalize_inplace) — together they let the
+        # next sweep revisit only what changed
+        self._touched: Optional[set[int]] = None
+        self._omega_c = None
         # per-node topological levels, maintained incrementally once
         # enable_levels() is called (depth objective); None until then so
         # pure size rewriting pays nothing for level bookkeeping
@@ -246,17 +253,24 @@ class Mig:
             self._refs.append(0)
             self._parents.append(set())
             self._order.append((index,))
-            self._shape_version += 1
-            for e in (ea, eb, ec):
-                self._refs[e >> 1] += 1
-                self._parents[e >> 1].add(index)
-            self._hist_add_enc(ea, eb, ec)
+            self._link_gate(index, ea, eb, ec)
         if self._levels is not None:
             levels = self._levels
             self._levels.append(
                 1 + max(levels[ea >> 1], levels[eb >> 1], levels[ec >> 1])
             )
         return index << 1
+
+    def _link_gate(self, index: int, ea: int, eb: int, ec: int) -> None:
+        """In-place bookkeeping of a gate that just came alive: child
+        references and parent sets, the histogram, the change record."""
+        self._shape_version += 1
+        refs, parents = self._refs, self._parents
+        for e in (ea, eb, ec):
+            refs[e >> 1] += 1
+            parents[e >> 1].add(index)
+        self._hist_add_enc(ea, eb, ec)
+        self._touched.add(index)
 
     def add_po(self, signal: Signal, name: Optional[str] = None) -> int:
         """Register ``signal`` as a primary output; returns the PO index."""
@@ -268,6 +282,7 @@ class Mig:
         if self._refs is not None:
             self._refs[signal.node] += 1
             self._po_of.setdefault(signal.node, []).append(len(self._pos) - 1)
+            self._touched.add(signal.node)
         return len(self._pos) - 1
 
     def _check_signal(self, signal: Signal) -> Signal:
@@ -445,47 +460,60 @@ class Mig:
         order a chain of rebuild passes would have created them in.
         """
         if not self._topo_dirty:
-            yield from self.gates()
-            return
+            return self.gates()
         if self._topo_cache_version != self._shape_version:
             self._topo_cache = self._topo_order()
             self._topo_cache_version = self._shape_version
-        yield from self._topo_cache
+        return iter(self._topo_cache)
 
     def _topo_order(self) -> list[int]:
         """Stable topological sort of the live gates by order key.
 
-        The gates are sorted by order key once; the Kahn heap then runs
-        over their int ranks instead of comparing key tuples.
+        The gates are sorted by order key once and output in that order,
+        except that a gate with a gate child not output yet waits, in a
+        heap of int ranks, until its children are out.  A waiting gate
+        that becomes ready ranks below every gate not yet reached, so it
+        goes out next: this is Kahn's algorithm with a min-rank heap,
+        paying heap operations only for the gates that wait.
         """
         ca, cb, cc = self._ca, self._cb, self._cc
         by_rank = list(self.gates())
         if self._order is not None:
             by_rank.sort(key=self._order.__getitem__)
-        remaining = [0] * len(by_rank)
-        dependents: dict[int, list[int]] = {}
-        heap: list[int] = []  # ascending ranks: already a valid heap
-        for rank, v in enumerate(by_rank):
-            count = 0
-            for e in (ca[v], cb[v], cc[v]):
-                child = e >> 1
-                if ca[child] >= 0:
-                    count += 1
-                    dependents.setdefault(child, []).append(rank)
-            if count:
-                remaining[rank] = count
-            else:
-                heap.append(rank)
-        result: list[int] = []
+        placed = bytearray(len(ca))  # output so far: constant, PIs, gates
+        placed[0] = 1
+        for pi in self._pi_ids:
+            placed[pi] = 1
+        waiting: dict[int, list[int]] = {}  # gate -> ranks waiting on it
+        missing: dict[int, int] = {}  # waiting rank -> children not out
+        ready: list[int] = []  # heap of ranks whose wait is over
         heappop, heappush = heapq.heappop, heapq.heappush
-        while heap:
-            v = by_rank[heappop(heap)]
+        result: list[int] = []
+        next_rank, size = 0, len(by_rank)
+        while True:
+            if ready:
+                v = by_rank[heappop(ready)]
+            elif next_rank < size:
+                v = by_rank[next_rank]
+                na, nb, nc = ca[v] >> 1, cb[v] >> 1, cc[v] >> 1
+                if not (placed[na] and placed[nb] and placed[nc]):
+                    count = 0
+                    for child in (na, nb, nc):
+                        if not placed[child]:
+                            count += 1
+                            waiting.setdefault(child, []).append(next_rank)
+                    missing[next_rank] = count
+                    next_rank += 1
+                    continue
+                next_rank += 1
+            else:
+                return result
+            placed[v] = 1
             result.append(v)
-            for rank in dependents.get(v, ()):
-                remaining[rank] -= 1
-                if remaining[rank] == 0:
-                    heappush(heap, rank)
-        return result
+            for rank in waiting.pop(v, ()):
+                missing[rank] -= 1
+                if missing[rank] == 0:
+                    heappush(ready, rank)
 
     def nodes(self) -> Iterator[int]:
         """All node indices (constant, PIs, gates, tombstones) in creation order."""
@@ -546,6 +574,7 @@ class Mig:
         self._po_of = po_of
         self._hist = hist
         self._c0_noconst = c0_noconst
+        self._touched = set()
         if self._order is None:
             self._order = [(i,) for i in range(n)]
         else:
@@ -794,6 +823,7 @@ class Mig:
                 refs[o] -= 1
                 refs[ns_node] += 1
                 self._po_of.setdefault(ns_node, []).append(po_index)
+                self._touched.add(ns_node)
             for p in list(self._parents[o]):
                 ea = ca[p]
                 if ea < 0:  # retired earlier in the cascade
@@ -830,10 +860,58 @@ class Mig:
             return
         if sorted((na, nb, nc)) != sorted(current):
             raise MigError("reorder_children requires a permutation of the children")
-        self._ca[node] = na
-        self._cb[node] = nb
-        self._cc[node] = nc
+        self.reorder_children_enc(node, na, nb, nc)
+
+    def reorder_children_enc(self, node: int, ea: int, eb: int, ec: int) -> None:
+        """Encoding-level :meth:`reorder_children` for the Ω.C sweeps:
+        the caller guarantees a live gate and a permutation of its
+        children, which is not checked."""
+        self._ca[node] = ea
+        self._cb[node] = eb
+        self._cc[node] = ec
         self._edit_count += 1
+        self._touched.add(node)
+
+    def reserve_gate(self, like: int) -> int:
+        """Append a tombstone slot for a gate that may be built later.
+
+        The slot takes ``like``'s position in the creation order (as
+        :meth:`inherit_order` would) and counts as an edit, but stays dead
+        — no child, reference or strash entry — until :meth:`fill_gate`.
+        A rule that defers a speculative gate reserves its index so that
+        every later node gets the index it would have had if the gate had
+        been built on the spot.
+        """
+        self._require_inplace()
+        index = self._new_slot(_DEAD, -1, -1, -1)
+        self._num_dead += 1
+        self._refs.append(0)
+        self._parents.append(set())
+        self._order.append(self._order[like] + (index,))
+        if self._levels is not None:
+            self._levels.append(0)
+        self._edit_count += 1
+        return index
+
+    def fill_gate(self, index: int, ea: int, eb: int, ec: int) -> None:
+        """Build the gate ``⟨ea eb ec⟩`` in the slot :meth:`reserve_gate`
+        kept for it — the state :meth:`add_maj_enc` would have left, had it
+        created the gate when the slot was reserved.
+
+        The caller guarantees the triple is neither Ω.M-reducible nor in
+        the strash, and that nothing changed the graph since the
+        reservation but other reservations and fills.
+        """
+        self._ca[index] = ea
+        self._cb[index] = eb
+        self._cc[index] = ec
+        self._kind[index] = _GATE
+        self._num_dead -= 1
+        self._strash[self._pack_key(ea, eb, ec)] = index
+        self._link_gate(index, ea, eb, ec)
+        if self._levels is not None:
+            levels = self._levels
+            levels[index] = 1 + max(levels[ea >> 1], levels[eb >> 1], levels[ec >> 1])
 
     def release_if_dead(self, node: int) -> None:
         """Tombstone ``node`` (and its now-unused cone) if nothing reads it.
@@ -898,6 +976,7 @@ class Mig:
         cc[p] = nc
         self._edit_count += 1
         self._shape_version += 1
+        self._touched.add(p)
         if self._levels is not None:
             self._propagate_levels(p)
         collapse = self._simplify_enc(na, nb, nc)
@@ -934,6 +1013,7 @@ class Mig:
             parents[u].clear()
             self._edit_count += 1
             self._shape_version += 1
+            self._touched.add(u)
             for e in (ea, eb, ec):
                 n = e >> 1
                 refs[n] -= 1
@@ -992,6 +1072,8 @@ class Mig:
         self,
         gate_fn: Optional[Callable[["Mig", int, tuple[Signal, Signal, Signal]], Signal]] = None,
         keep_dead: bool = False,
+        *,
+        live: Optional[set[int]] = None,
     ) -> tuple["Mig", dict[int, Signal]]:
         """Copy this MIG into a fresh one, applying ``gate_fn`` per gate.
 
@@ -1003,7 +1085,8 @@ class Mig:
         and re-hashes, so a plain rebuild is already a cleanup pass).
 
         Only gates in the transitive fan-in of the outputs are visited
-        unless ``keep_dead`` is true.  Returns the new MIG and a map from
+        unless ``keep_dead`` is true (``live`` passes a :meth:`_live_set`
+        the caller already has).  Returns the new MIG and a map from
         old node index to new signal.  After in-place rewriting the gates
         are visited in :meth:`topo_gates` order (``keep_dead`` is
         unsupported then, since unreachable gates have no defined order).
@@ -1014,7 +1097,10 @@ class Mig:
         mapping: dict[int, Signal] = {0: Signal.CONST0}
         for node, name in zip(self._pi_ids, self._pi_names):
             mapping[node] = new.add_pi(name)
-        live = self._live_set() if not keep_dead else None
+        if keep_dead:
+            live = None
+        elif live is None:
+            live = self._live_set()
         ca, cb, cc = self._ca, self._cb, self._cc
         if gate_fn is None:
             # Hot path (cleanup): carry the map as raw encodings and append
@@ -1067,6 +1153,29 @@ class Mig:
     def cleanup(self) -> tuple["Mig", dict[int, Signal]]:
         """Remove dead gates and re-hash; returns (new MIG, node map)."""
         return self.rebuild()
+
+    def cleaned(self) -> "Mig":
+        """``cleanup()[0]``, or this graph itself when the cleanup would
+        copy it node for node.
+
+        That holds for a graph never rewritten in place, append-clean
+        (:meth:`is_append_clean`), with its PIs at indices 1..n, every
+        gate reachable from a PO and one strash entry per gate: the
+        rebuild would re-create every gate at its own index, children in
+        the stored order.  A caller that mutates the result must
+        :meth:`clone` it first when it is ``self``.
+        """
+        live = self._live_set()
+        num_gates = self.num_gates
+        if (
+            self._order is None
+            and len(live) == num_gates
+            and len(self._strash) == num_gates
+            and self._pi_ids == list(range(1, len(self._pi_ids) + 1))
+            and self.is_append_clean()
+        ):
+            return self
+        return self.rebuild(live=live)[0]
 
     def clone(self) -> "Mig":
         """Deep copy preserving node indices (including dead gates).

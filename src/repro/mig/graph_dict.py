@@ -157,6 +157,9 @@ class DictMig:
         # (see topo_gates)
         self._order: Optional[list[tuple[int, ...]]] = None
         self._edit_count: int = 0
+        # the in-place Ω.C change record and sweep memory (see Mig)
+        self._touched: Optional[set[int]] = None
+        self._omega_c = None
         # per-node topological levels, maintained incrementally once
         # enable_levels() is called (depth objective); None until then so
         # pure size rewriting pays nothing for level bookkeeping
@@ -217,14 +220,19 @@ class DictMig:
             self._refs.append(0)
             self._parents.append(set())
             self._order.append((index,))
-            self._shape_version += 1
-            for s in (a, b, c):
-                self._refs[s.node] += 1
-                self._parents[s.node].add(index)
-            self._hist_add((a, b, c))
+            self._link_gate(index, (a, b, c))
         if self._levels is not None:
             self._levels.append(1 + max(self._levels[s.node] for s in (a, b, c)))
         return Signal.make(index)
+
+    def _link_gate(self, index: int, triple: tuple[Signal, Signal, Signal]) -> None:
+        """In-place bookkeeping of a gate that just came alive."""
+        self._shape_version += 1
+        for s in triple:
+            self._refs[s.node] += 1
+            self._parents[s.node].add(index)
+        self._hist_add(triple)
+        self._touched.add(index)
 
     def add_maj_enc(self, ea: int, eb: int, ec: int, *, simplify: bool = True) -> int:
         """Encoding-level :meth:`add_maj` (the entry the local rules build
@@ -241,6 +249,7 @@ class DictMig:
         if self._refs is not None:
             self._refs[signal.node] += 1
             self._po_of.setdefault(signal.node, []).append(len(self._pos) - 1)
+            self._touched.add(signal.node)
         return len(self._pos) - 1
 
     def _check_signal(self, signal: Signal) -> Signal:
@@ -273,6 +282,9 @@ class DictMig:
     def _strash_key(a: Signal, b: Signal, c: Signal) -> tuple[int, int, int]:
         x, y, z = sorted((int(a), int(b), int(c)))
         return (x, y, z)
+
+    #: the strash key of three child encodings (the encoding protocol)
+    _pack_key = _strash_key
 
     # ------------------------------------------------------------------
     # queries
@@ -497,6 +509,7 @@ class DictMig:
         self._po_of = po_of
         self._hist = hist
         self._c0_noconst = c0_noconst
+        self._touched = set()
         if self._order is None:
             self._order = [(i,) for i in range(n)]
         else:
@@ -734,6 +747,7 @@ class DictMig:
                 self._refs[o] -= 1
                 self._refs[ns.node] += 1
                 self._po_of.setdefault(ns.node, []).append(po_index)
+                self._touched.add(ns.node)
             for p in list(self._parents[o]):
                 if self._children[p] is None:  # retired earlier in the cascade
                     continue
@@ -769,6 +783,39 @@ class DictMig:
             raise MigError("reorder_children requires a permutation of the children")
         self._children[node] = triple
         self._edit_count += 1
+        self._touched.add(node)
+
+    def reorder_children_enc(self, node: int, ea: int, eb: int, ec: int) -> None:
+        """Encoding-level :meth:`reorder_children` (no permutation check)."""
+        self._children[node] = (Signal(ea), Signal(eb), Signal(ec))
+        self._edit_count += 1
+        self._touched.add(node)
+
+    def reserve_gate(self, like: int) -> int:
+        """Append a tombstone slot for a gate that may be built later
+        (see :meth:`repro.mig.graph.Mig.reserve_gate`)."""
+        self._require_inplace()
+        index = len(self._children)
+        self._children.append(None)
+        self._dead.add(index)
+        self._refs.append(0)
+        self._parents.append(set())
+        self._order.append(self._order[like] + (index,))
+        if self._levels is not None:
+            self._levels.append(0)
+        self._edit_count += 1
+        return index
+
+    def fill_gate(self, index: int, ea: int, eb: int, ec: int) -> None:
+        """Build ``⟨ea eb ec⟩`` in a slot :meth:`reserve_gate` kept for it
+        (see :meth:`repro.mig.graph.Mig.fill_gate`)."""
+        triple = (Signal(ea), Signal(eb), Signal(ec))
+        self._children[index] = triple
+        self._dead.discard(index)
+        self._strash[self._strash_key(*triple)] = index
+        self._link_gate(index, triple)
+        if self._levels is not None:
+            self._levels[index] = 1 + max(self._levels[s.node] for s in triple)
 
     def release_if_dead(self, node: int) -> None:
         """Tombstone ``node`` (and its now-unused cone) if nothing reads it.
@@ -829,6 +876,7 @@ class DictMig:
         self._children[p] = new_triple
         self._edit_count += 1
         self._shape_version += 1
+        self._touched.add(p)
         if self._levels is not None:
             self._propagate_levels(p)
         collapse = self._simplify_triple(*new_triple)
@@ -858,6 +906,7 @@ class DictMig:
             self._parents[u].clear()
             self._edit_count += 1
             self._shape_version += 1
+            self._touched.add(u)
             for s in triple:
                 n = s.node
                 self._refs[n] -= 1
@@ -903,6 +952,8 @@ class DictMig:
         self,
         gate_fn: Optional[Callable[["DictMig", int, tuple[Signal, Signal, Signal]], Signal]] = None,
         keep_dead: bool = False,
+        *,
+        live: Optional[set[int]] = None,
     ) -> tuple["DictMig", dict[int, Signal]]:
         """Copy this MIG into a fresh one, applying ``gate_fn`` per gate.
 
@@ -914,7 +965,8 @@ class DictMig:
         and re-hashes, so a plain rebuild is already a cleanup pass).
 
         Only gates in the transitive fan-in of the outputs are visited
-        unless ``keep_dead`` is true.  Returns the new MIG and a map from
+        unless ``keep_dead`` is true (``live`` passes a :meth:`_live_set`
+        the caller already has).  Returns the new MIG and a map from
         old node index to new signal.  After in-place rewriting the gates
         are visited in :meth:`topo_gates` order (``keep_dead`` is
         unsupported then, since unreachable gates have no defined order).
@@ -925,7 +977,10 @@ class DictMig:
         mapping: dict[int, Signal] = {0: Signal.CONST0}
         for node, name in zip(self._pi_ids, self._pi_names):
             mapping[node] = new.add_pi(name)
-        live = self._live_set() if not keep_dead else None
+        if keep_dead:
+            live = None
+        elif live is None:
+            live = self._live_set()
         for v in self.topo_gates():
             if live is not None and v not in live:
                 continue
@@ -960,6 +1015,29 @@ class DictMig:
     def cleanup(self) -> tuple["DictMig", dict[int, Signal]]:
         """Remove dead gates and re-hash; returns (new MIG, node map)."""
         return self.rebuild()
+
+    def cleaned(self) -> "DictMig":
+        """``cleanup()[0]``, or this graph itself when the cleanup would
+        copy it node for node.
+
+        That holds for a graph never rewritten in place, append-clean
+        (:meth:`is_append_clean`), with its PIs at indices 1..n, every
+        gate reachable from a PO and one strash entry per gate: the
+        rebuild would re-create every gate at its own index, children in
+        the stored order.  A caller that mutates the result must
+        :meth:`clone` it first when it is ``self``.
+        """
+        live = self._live_set()
+        num_gates = self.num_gates
+        if (
+            self._order is None
+            and len(live) == num_gates
+            and len(self._strash) == num_gates
+            and self._pi_ids == list(range(1, len(self._pi_ids) + 1))
+            and self.is_append_clean()
+        ):
+            return self
+        return self.rebuild(live=live)[0]
 
     def clone(self) -> "DictMig":
         """Deep copy preserving node indices (including dead gates).

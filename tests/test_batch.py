@@ -60,6 +60,17 @@ class TestAnalysisContext:
         assert ctx.cleaned() is ctx.cleaned()
         assert ctx.reordered_dfs() is ctx.reordered_dfs()
 
+    def test_cleaned_reuses_the_context_when_cleanup_copies_the_graph(self):
+        mig = build("ctrl", "ci").cleaned()
+        ctx = AnalysisContext(mig)
+        assert ctx.cleaned() is ctx
+        with_dead = mig.clone()
+        a, b, c = with_dead.pis()[:3]
+        with_dead.add_maj(a, ~b, c)  # read by nothing
+        other = AnalysisContext(with_dead)
+        assert other.cleaned() is not other
+        assert other.cleaned().mig.num_gates == mig.num_gates
+
     def test_fresh_uses_is_a_copy(self):
         ctx = AnalysisContext(random_mig(seed=4))
         uses = ctx.fresh_uses()

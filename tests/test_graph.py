@@ -183,6 +183,33 @@ class TestRebuildCleanup:
         new, _ = mig.rebuild(gate_fn)
         assert truth_tables(mig) == truth_tables(new)
 
+    def test_cleaned_is_the_graph_itself_when_cleanup_copies_it(self, abc_mig):
+        mig, a, b, c = abc_mig
+        f = mig.add_maj(a, b, ~c)
+        mig.add_po(mig.add_maj(f, ~a, c), "f")
+        assert mig.cleaned() is mig
+        clean, _ = mig.cleanup()
+        assert (list(clean._ca), list(clean._cb), list(clean._cc)) == (
+            list(mig._ca), list(mig._cb), list(mig._cc)
+        )
+        assert clean.pos() == mig.pos()
+
+    def test_cleaned_rebuilds_otherwise(self, abc_mig):
+        mig, a, b, c = abc_mig
+        live = mig.add_maj(a, b, c)
+        mig.add_maj(a, b, ~c)  # unreachable
+        mig.add_po(live, "f")
+        clean = mig.cleaned()
+        assert clean is not mig
+        assert clean.num_gates == 1
+        # a PI declared after a gate: the cleanup renumbers the nodes
+        late = Mig()
+        x, y = late.add_pi("x"), late.add_pi("y")
+        g = late.add_maj(x, y, Signal.CONST0)
+        late.add_po(late.add_maj(g, x, late.add_pi("z")), "f")
+        assert late.cleaned() is not late
+        assert late.cleaned().fingerprint() == late.fingerprint()
+
     def test_clone_independent(self, abc_mig):
         mig, a, b, c = abc_mig
         mig.add_po(mig.add_maj(a, b, c), "f")
@@ -264,6 +291,31 @@ class TestInplace:
         mig.add_po(g3, "f")
         mig.enable_inplace()
         return mig, (a, b, c, d), (g1, g2, g3)
+
+    def test_reserve_then_fill_equals_building_on_the_spot(self):
+        built, _, (g1, g2, _) = self._chain()
+        deferred, _, _ = self._chain()
+        triple = (int(g2), int(~g1), int(deferred.pis()[1]))
+        slot = deferred.reserve_gate(g2.node)
+        assert deferred.num_gates == 3 and not deferred.is_gate(slot)
+        deferred.fill_gate(slot, *triple)
+        made = built.add_maj_enc(*triple)
+        built.inherit_order(made >> 1, g2.node)
+        assert made >> 1 == slot
+        for graph in (built, deferred):
+            assert graph.num_gates == 4
+        assert list(deferred._ca) == list(built._ca)
+        assert list(deferred._refs) == list(built._refs)
+        assert [list(p) for p in deferred._parents] == [list(p) for p in built._parents]
+        assert deferred._strash == built._strash
+        assert deferred._order == built._order
+        assert deferred.inplace_signature() == built.inplace_signature()
+
+    def test_reservation_counts_as_an_edit(self):
+        mig, _, (g1, _, _) = self._chain()
+        edits = mig.edit_count
+        mig.reserve_gate(g1.node)
+        assert mig.edit_count == edits + 1
 
     def test_enable_inplace_builds_refs_and_parents(self):
         mig, (a, b, c, d), (g1, g2, g3) = self._chain()
